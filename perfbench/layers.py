@@ -2,9 +2,10 @@
 
 Tracing wraps ellnum's public functions on the modules that call them, so
 a call from search into counting is seen at that boundary. Spans are
-aggregated in memory per name (calls, total and self time) and written
-out when the run ends. The probes time each layer's public functions on
-fixed-size seeded inputs; their figures are the per-layer metrics.
+aggregated in memory per name (calls, total and self CPU time) and written
+out when the run ends. The probes time each layer's public functions, in
+CPU time, on fixed-size seeded inputs; their figures are the per-layer
+metrics.
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ class Tracer:
             if count_prime:
                 self.search_counts.append((args[0].coefficients, args[1]))
             self._stack.append(0.0)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             try:
                 return fn(*args, **kwargs)
             finally:
-                dt = time.perf_counter() - t0
+                dt = time.process_time() - t0
                 child = self._stack.pop()
                 if self._stack:
                     self._stack[-1] += dt
@@ -94,6 +95,14 @@ class Tracer:
         traced.__wrapped__ = fn
         return traced
 
+    def merge(self, summary: dict) -> None:
+        """Add the spans of another process, given as its summary()."""
+        for name, span in summary.items():
+            agg = self.spans.setdefault(name, [0, 0.0, 0.0])
+            agg[0] += span["calls"]
+            agg[1] += span["total_s"]
+            agg[2] += span["self_s"]
+
     def summary(self) -> dict:
         return {name: {"calls": c, "total_s": t, "self_s": s}
                 for name, (c, t, s) in sorted(self.spans.items())}
@@ -102,9 +111,9 @@ class Tracer:
 def _median_time(fn, reps: int) -> tuple[float, object]:
     times, out = [], None
     for _ in range(reps):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         out = fn()
-        times.append(time.perf_counter() - t0)
+        times.append(time.process_time() - t0)
     return statistics.median(times), out
 
 
@@ -116,13 +125,13 @@ def _sample_primes(coeffs, size: int, count: int, rng) -> list[int]:
 
 def _per_prime_us(method, model, primes, seed: int) -> float:
     rcs = [ellnum.curves.ReducedCurve.reduce(model, p) for p in primes]
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for rc in rcs:
         if method == "bsgs":
             ellnum.counting.count_bsgs(rc, seed=seed)
         else:
             ellnum.counting.count_charsum(rc)
-    return (time.perf_counter() - t0) / len(rcs) * 1e6
+    return (time.process_time() - t0) / len(rcs) * 1e6
 
 
 def _point_on_37a(p: int, rng):
@@ -157,12 +166,12 @@ def probe_layers(seed: int, out_dir: str) -> dict:
     # The build and charsum come first, and the large sieves after them:
     # freeing an array of a few MB raises glibc's trim threshold, after
     # which count_charsum's per-prime arrays stop faulting in fresh pages
-    # and the 37a build runs ~1.7x faster than in a fresh process, such as
+    # and the 37a build runs ~1.6x faster than in a fresh process, such as
     # the table-build workload's or the cli's.
     # table: the 37a table that Tier-1 and verify-paper build
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     table = ellnum.table.build_table(e37, 115_000, workers=1, seed=seed)
-    m["table.build_s"] = (time.perf_counter() - t0, "s")
+    m["table.build_s"] = (time.process_time() - t0, "s")
     path = os.path.join(out_dir, "probe-37a.ellnum")
     t, _ = _median_time(lambda: ellnum.table.save_table(table, path), 5)
     m["table.save_ms"] = (t * 1e3, "ms")
@@ -203,9 +212,9 @@ def probe_layers(seed: int, out_dir: str) -> dict:
     tracer = Tracer()
     tracer.install()
     try:
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         ellnum.search.find_progressions(e37, 10_000_000, 10_002_000, 2)
-        m["search.find_progressions_ms"] = ((time.perf_counter() - t0) * 1e3, "ms")
+        m["search.find_progressions_ms"] = ((time.process_time() - t0) * 1e3, "ms")
     finally:
         tracer.uninstall()
     calls = tracer.search_counts

@@ -5,7 +5,8 @@
 Run from the root of a checkout; the library is imported from ./src. The
 last line of stdout is one JSON object: correct, attempted, failed and the
 metrics (end-to-end with --trace 0, per-layer with --trace 1). Details of
-the run, every operation's latency among them, go to perfbench/out/.
+the run, every operation's latency among them, go to perfbench/out/. The
+exit status is 1 when a check failed or an operation raised.
 
     python3 perfbench/run.py --self-test
 
@@ -19,7 +20,6 @@ import argparse
 import hashlib
 import json
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -33,8 +33,6 @@ TABLE_CACHE = os.path.join(HERE, "tables")
 
 # Set-up is repeated in this many fresh processes; setup_s is their median.
 SETUP_PROBES = 5
-# Every op runs at least twice, so that its fastest execution is a choice.
-MIN_ROUNDS = 2
 
 
 def _import_library():
@@ -84,34 +82,47 @@ def _setup_seconds(workload: str, seed: int) -> list[float]:
     return samples
 
 
+def _host_speed_ms() -> float:
+    """CPU ms of a fixed pure-Python loop, the median of five: a record of
+    how fast the host ran this run, kept beside the metrics, never in them."""
+    times = []
+    for _ in range(5):
+        t0 = time.process_time()
+        acc = 0
+        for i in range(300_000):
+            acc += i * i % 7
+        times.append((time.process_time() - t0) * 1e3)
+    return statistics.median(times)
+
+
 def _setup(workloads, name: str, seed: int):
     os.makedirs(OUT, exist_ok=True)
     return workloads.WORKLOADS[name].setup(seed, OUT, _cache_dir())
 
 
-def _run_rounds(ops, seconds: float):
-    """Whole rounds of `ops`: at least MIN_ROUNDS, and more while the next
-    one is expected to end within `seconds` of op time.
+def _run_rounds(ops, seconds: float, tracer):
+    """Whole rounds of `ops`: one, and more while the next one is expected
+    to end within `seconds` of op time.
 
     Returns the first round's kept outputs (None where the op raised),
-    each op's latencies, the failures, and the ops whose output in a later
-    round differed from the first.
+    each op's latencies, the failures, the ops whose output in a later
+    round differed from the first, the round count and the peak RSS in kB
+    of the processes that ran the ops.
     """
     first, lat, failures, drift = [], [[] for _ in ops], [], []
     spent = last = 0.0
-    rounds = 0
-    while rounds < MIN_ROUNDS or spent + last <= seconds:
+    rounds = peak_kb = 0
+    while rounds == 0 or 0 < last and spent + last <= seconds:
         started = spent
         for i, op in enumerate(ops):
-            t0 = time.perf_counter()
             try:
-                out = op.call()
+                out, dt, kb = op.timed(tracer)
             except Exception as exc:  # a failed op is counted, never timed
                 failures.append(f"{op.name}: {type(exc).__name__}: {exc}")
                 if rounds == 0:
                     first.append(None)
                 continue
-            dt = time.perf_counter() - t0
+            peak_kb = max(peak_kb, kb)
             kept = op.keep(out)
             del out
             if rounds == 0:
@@ -122,7 +133,7 @@ def _run_rounds(ops, seconds: float):
             spent += dt
         last = spent - started
         rounds += 1
-    return first, lat, failures, drift, rounds
+    return first, lat, failures, drift, rounds, peak_kb
 
 
 def _end_to_end(setup_samples, ops, lat, peak_kb) -> dict:
@@ -131,6 +142,7 @@ def _end_to_end(setup_samples, ops, lat, peak_kb) -> dict:
     Other tenants of a shared machine only ever slow an op down, so its
     fastest execution in the run is the steadiest measure of its cost; ops
     with the same name (same call, same inputs) pool their executions.
+    Latencies are CPU seconds of the process that ran the op.
     """
     runs: dict[str, list[float]] = {}
     primes: dict[str, int] = {}
@@ -150,12 +162,6 @@ def _end_to_end(setup_samples, ops, lat, peak_kb) -> dict:
     }
 
 
-def _raw_figures(lat) -> dict:
-    """Throughput over all executions, for comparison with the best-of figures."""
-    flat = [t for ts in lat for t in ts]
-    return {"ops_per_s_all": len(flat) / sum(flat), "op_p50_ms_all": statistics.median(flat) * 1e3}
-
-
 def _write(name: str, payload: dict) -> None:
     path = os.path.join(OUT, name)
     with open(path + ".tmp", "w") as fh:
@@ -173,8 +179,10 @@ def main() -> int:
     ap.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--make-tables", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--probe-layers", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--build-op", nargs=3, metavar=("CURVE", "LIMIT", "PATH"), help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if not (args.workload or args.self_test or args.make_tables or args.probe_layers):
+    if not (args.workload or args.self_test or args.make_tables or args.probe_layers
+            or args.build_op):
         ap.error("give --workload or --self-test")
 
     _import_library()
@@ -183,6 +191,10 @@ def main() -> int:
     import selftest
     import workloads
 
+    if args.build_op:
+        label, limit, path = args.build_op
+        print(json.dumps(workloads.build_once(label, int(limit), args.seed, path, bool(args.trace))))
+        return 0
     if args.make_tables:
         workloads.make_tables(_cache_dir())
         return 0
@@ -206,6 +218,7 @@ def main() -> int:
     if args.workload == "analyze" and _child("--make-tables").wait() != 0:
         sys.exit("perfbench: building the analyze tables failed")
 
+    host_speed = [_host_speed_ms()]
     setup_samples = [] if args.trace else _setup_seconds(args.workload, args.seed)
     state = _setup(workloads, args.workload, args.seed)
     ops = workload.ops(state)
@@ -217,11 +230,11 @@ def main() -> int:
         tracer = layers.Tracer()
         tracer.install()
     try:
-        first, lat, failures, drift, rounds = _run_rounds(ops, args.seconds)
+        first, lat, failures, drift, rounds, peak_kb = _run_rounds(ops, args.seconds, tracer)
     finally:
         if tracer:
             tracer.uninstall()
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    host_speed.append(_host_speed_ms())
 
     rng = np.random.default_rng(args.seed + 1_000_003)
     problems = [f"{name}: output changed between rounds" for name in drift]
@@ -232,8 +245,8 @@ def main() -> int:
     detail = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "rounds": rounds, "ops_per_round": len(ops), "samples": sum(map(len, lat)),
+        "host_loop_ms_before_after": host_speed,
         "setup_s_samples": setup_samples, "problems": problems, "failures": failures,
-        "all_executions": _raw_figures(lat),
         "ops": [{"name": op.name, "primes": op.primes, "latency_ms": [t * 1e3 for t in ts]}
                 for op, ts in zip(ops, lat)],
     }
@@ -270,7 +283,7 @@ def main() -> int:
     result = {"correct": not problems, "attempted": attempted, "failed": len(failures),
               "metrics": metrics}
     print(json.dumps(result))
-    return 0
+    return 1 if problems or failures else 0
 
 
 if __name__ == "__main__":

@@ -10,8 +10,13 @@ round's outputs with the first round's.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
+import resource
+import subprocess
+import sys
+import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -19,6 +24,7 @@ import numpy as np
 
 from ellnum import parse_curve, search, stats
 from ellnum import table as tables
+from ellnum.arith import divisors
 
 import oracle
 
@@ -59,6 +65,15 @@ class Op:
     primes: int
     spec: tuple
 
+    def timed(self, tracer=None) -> tuple[Any, float, int]:
+        """Run once: the output, the op's CPU seconds (user + system) and the
+        peak RSS in kB of the process that ran it. CPU time leaves out the
+        time the host gives the vCPU to other tenants."""
+        t0 = time.process_time()
+        out = self.call()
+        seconds = time.process_time() - t0
+        return out, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
 
 def _model(label):
     return parse_curve(CURVES[label])
@@ -85,38 +100,91 @@ def _rel_close(a: float, b: float) -> bool:
 
 # --- table-build -------------------------------------------------------------
 
+RUN_PY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "run.py")
+
+
+def build_once(label: str, limit: int, seed: int, path: str, trace: bool) -> dict:
+    """One table-build op, in the process that calls it: build_table at the
+    default dispatch, save_table, load_table."""
+    model = _model(label)
+    tracer = None
+    if trace:
+        import layers
+
+        tracer = layers.Tracer()
+        tracer.install()
+    try:
+        t0 = time.process_time()
+        built = tables.build_table(model, limit, workers=1, seed=seed)
+        tables.save_table(built, path)
+        loaded = tables.load_table(path, expect=model)
+        seconds = time.process_time() - t0
+    finally:
+        if tracer:
+            tracer.uninstall()
+    return {"seconds": seconds, "round_trip": built == loaded,
+            "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "spans": tracer.summary() if tracer else {}}
+
+
+@dataclass
+class FreshBuild(Op):
+    """A table-build op run in a fresh child process, as the cli `table`
+    command runs; the child times itself.
+
+    count_charsum's per-prime arrays fault in fresh pages or not depending on
+    whether the process has freed a large array before (glibc's dynamic mmap
+    threshold), which moves the 37a build by a large factor. A fresh process
+    per build fixes that state. The kept output is the round-trip verdict
+    and a digest of the saved file.
+    """
+
+    label: str = ""
+    limit: int = 0
+    seed: int = 0
+    path: str = ""
+
+    def timed(self, tracer=None):
+        args = [sys.executable, RUN_PY, "--build-op", self.label, str(self.limit), self.path,
+                "--seed", str(self.seed), "--trace", "1" if tracer else "0"]
+        proc = subprocess.run(args, capture_output=True, text=True, cwd=os.getcwd())
+        if proc.returncode != 0:
+            raise RuntimeError(f"build child exited {proc.returncode}: {proc.stderr[-500:]}")
+        res = json.loads(proc.stdout.splitlines()[-1])
+        if tracer:
+            tracer.merge(res["spans"])
+        with open(self.path, "rb") as fh:
+            saved = hashlib.sha256(fh.read()).hexdigest()
+        return (res["round_trip"], saved), res["seconds"], res["peak_kb"]
+
+
 class TableBuild:
-    """Cold build_table at the default dispatch, then a save/load round trip."""
+    """Cold build_table at the default dispatch, then a save/load round trip,
+    each in a fresh process."""
 
     name = "table-build"
 
     def setup(self, seed: int, out_dir: str, cache_dir: str):
         rng = np.random.default_rng(seed)
         jobs = [("37a", 115_000)] + [("cm", _jitter(rng, 20_000))] * 4
-        return {"seed": seed, "out_dir": out_dir, "jobs": jobs,
-                "models": {lab: _model(lab) for lab, _ in jobs}}
+        return {"seed": seed, "out_dir": out_dir, "jobs": jobs}
 
     def ops(self, state):
         ops = []
         for i, (label, limit) in enumerate(state["jobs"]):
-            model = state["models"][label]
             path = os.path.join(state["out_dir"], f"{label}-{i}.ellnum")
-            n_good = len(oracle.good_primes(model.coefficients, 2, limit))
-
-            def call(model=model, limit=limit, path=path):
-                built = tables.build_table(model, limit, workers=1, seed=state["seed"])
-                tables.save_table(built, path)
-                return built, tables.load_table(path, expect=model)
-
-            ops.append(Op(f"build {label} {limit}", call, lambda out: out, n_good, (label, limit)))
+            n_good = len(oracle.good_primes(CURVES_T[label], 2, limit))
+            ops.append(FreshBuild(f"build {label} {limit}", None, lambda out: out, n_good,
+                                  (label, limit), label, limit, state["seed"], path))
         return ops
 
     def check(self, state, ops, outputs, rng):
         problems = []
-        for op, (built, loaded) in zip(ops, outputs):
+        for op, (round_trip, _) in zip(ops, outputs):
             label, limit = op.spec
-            if not built == loaded:
+            if not round_trip:
                 problems.append(f"{op.name}: the loaded table differs from the built one")
+            loaded = tables.load_table(op.path, expect=_model(label))
             published = PUBLISHED_37A if label == "37a" else None
             problems += oracle.check_table(CURVES_T[label], limit, loaded.ps, loaded.nps,
                                            loaded.bad_primes, rng, published)
@@ -214,21 +282,6 @@ def _smallest_product(nps, count: int) -> int:
     return math.prod(sorted(nps.tolist())[:count])
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    q, m = 2, n
-    while q * q <= m:
-        e = 0
-        while m % q == 0:
-            m //= q
-            e += 1
-        out = [d * q ** i for d in out for i in range(e + 1)]
-        q += 1
-    if m > 1:
-        out = out + [d * m for d in out]
-    return sorted(out)
-
-
 class Analyze:
     """Census, solutions, g1, bk and the stats passes on loaded tables."""
 
@@ -279,7 +332,7 @@ class Analyze:
                 i = int(rng.choice(room))
                 picked.append(i)
                 n *= int(t.nps[i])
-            work = sum(d for d in _divisors(n) if d <= cap) / x
+            work = sum(d for d in divisors(n) if d <= cap) / x
             cands[n] = abs(math.log(work / target))
         return sorted(cands, key=cands.get)[:GK_SOLUTION_DRAWS]
 
@@ -297,7 +350,7 @@ class Analyze:
             elif kind == "solutions":
                 cap = x // _smallest_product(t.nps, k - 1)
                 seen = set()
-                for d in _divisors(x):
+                for d in divisors(x):
                     if d <= cap:
                         lo, hi = oracle.hasse_window(d)
                         seen.update(ps[(ps >= lo) & (ps <= hi)].tolist())
