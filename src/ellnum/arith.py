@@ -7,7 +7,7 @@ The factor sieve keeps smallest prime factors up to a configurable limit
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 import numpy as np
 
@@ -238,12 +238,3 @@ def omega_table(limit: int) -> np.ndarray:
         w[p::p] += 1
     return w
 
-
-def count_primes_up_to(x: int) -> int:
-    """pi(x)."""
-    return len(primes_up_to(x))
-
-
-def prime_slice(ps: list[int], lo: int, hi: int) -> list[int]:
-    """Primes from a sorted list with lo <= p <= hi."""
-    return ps[bisect_left(ps, lo) : bisect_right(ps, hi)]

@@ -98,7 +98,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="product budget override")
-    p.add_argument("--witnesses", action="store_true", help="store witness sets (small runs)")
 
     p = sub.add_parser("moments", help="centered moments of omega(N_p) up to x")
     _add_common(p)
@@ -188,8 +187,7 @@ def cmd_census(args, model) -> int:
     if args.budget is not None:
         kw["budget"] = args.budget
     census = gk_census(
-        model, args.k, args.x, seed=args.seed, workers=args.workers,
-        cache_dir=args.cache, store_witnesses=args.witnesses, **kw,
+        model, args.k, args.x, seed=args.seed, workers=args.workers, cache_dir=args.cache, **kw
     )
     payload = {
         "k": census.k,
@@ -341,7 +339,7 @@ def cmd_verify_paper(args, model) -> int:
         c_fix = census.count(3017520)
         report("census 4e6 count at 3107520 >= 2", c_pub >= 2, f"count {c_pub}")
         report("census 4e6 count at 3017520 >= 2", c_fix >= 2, f"count {c_fix}")
-        wit = census.witnesses(3017520, limit=32)
+        wit = census.witnesses(3017520)
         have = {(101, 107, 251), (113, 127, 167)} <= set(wit)
         report("published witness triples appear at 3017520", have, f"{len(wit)} sets")
         # Hasse bound sweep over the table the census built

@@ -15,13 +15,13 @@ import random
 
 import numpy as np
 
-from .curves import CurveModel, Point, ReducedCurve, _add_raw, legendre, sqrt_mod
+from .curves import CurveModel, Point, ReducedCurve, _add_raw, legendre, point_neg, scalar_mul, sqrt_mod
 
 # Characters sums stay exact in int64 up to here; BSGS has no such cap.
 CHARSUM_PRIME_CAP = 1 << 30
 
-# Dispatch threshold between charsum and BSGS.
-DEFAULT_NAIVE_THRESHOLD = 100_000
+# Dispatch threshold: charsum for p up to here, BSGS above.
+CHARSUM_THRESHOLD = 100_000
 
 # Ambiguity budget: random points on the curve, then on its twist.
 BSGS_POINT_BUDGET = 8
@@ -131,10 +131,9 @@ def _order_multiples_in_interval(rc: ReducedCurve, P: Point, lo: int, hi: int) -
         baby.setdefault(R, []).append(i)
         R = _add_raw(p, a1, a2, a3, a4, a6, R, P)
     # R is now bs*P
-    step_neg = _neg_raw(p, a1, a3, R)
+    step_neg = point_neg(rc, R)
     # target: j*P = -(lo*P), scan j = t*bs + i over [0, width]
-    loP = _scalar_raw(p, a1, a2, a3, a4, a6, lo, P)
-    gamma = _neg_raw(p, a1, a3, loP)
+    gamma = point_neg(rc, scalar_mul(rc, lo, P))
     found: set[int] = set()
     for t in range(width // bs + 1):
         for i in baby.get(gamma, ()):
@@ -143,24 +142,6 @@ def _order_multiples_in_interval(rc: ReducedCurve, P: Point, lo: int, hi: int) -
                 found.add(lo + j)
         gamma = _add_raw(p, a1, a2, a3, a4, a6, gamma, step_neg)
     return found
-
-
-def _neg_raw(p, a1, a3, P):
-    if P is None:
-        return None
-    x, y = P
-    return (x, (-y - a1 * x - a3) % p)
-
-
-def _scalar_raw(p, a1, a2, a3, a4, a6, m, P):
-    result = None
-    addend = P
-    while m:
-        if m & 1:
-            result = _add_raw(p, a1, a2, a3, a4, a6, result, addend)
-        addend = _add_raw(p, a1, a2, a3, a4, a6, addend, addend)
-        m >>= 1
-    return result
 
 
 def count_bsgs(rc: ReducedCurve, seed: int = 0) -> int:
@@ -194,16 +175,11 @@ def count_bsgs(rc: ReducedCurve, seed: int = 0) -> int:
     return count_charsum(rc)
 
 
-def count_points(
-    model: CurveModel,
-    p: int,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
-    seed: int = 0,
-) -> int:
+def count_points(model: CurveModel, p: int, seed: int = 0) -> int:
     """N_p(E) for a good prime p, dispatched by prime size."""
     rc = ReducedCurve.reduce(model, p)
     if p <= 3:
         return count_naive(rc)
-    if p <= naive_threshold:
+    if p <= CHARSUM_THRESHOLD:
         return count_charsum(rc)
     return count_bsgs(rc, seed=seed)

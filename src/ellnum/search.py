@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors, iroot, loglog, omega, omega_table, primes_in_range, shared_sieve
-from .counting import DEFAULT_NAIVE_THRESHOLD, count_points
+from .counting import count_points
 from .curves import CurveModel
 from .errors import CensusBudgetError
 from .table import NpTable, covering_table
@@ -101,32 +101,32 @@ class BkReport:
         }
 
 
-def _np_lookup(model: CurveModel, p: int, table: NpTable | None, naive_threshold: int, seed: int) -> int:
-    if (
-        table is not None
-        and table.curve.coefficients == model.coefficients
-        and p <= table.limit
-    ):
-        return table.np_of(p)
-    return count_points(model, p, naive_threshold, seed)
+def _np_window(
+    model: CurveModel, lo: int, hi: int, table: NpTable | None, seed: int
+) -> tuple[list[int], list[int]]:
+    """Good primes in [lo, hi] with their N_p, ascending.
 
-
-def g1(
-    model: CurveModel,
-    n: int,
-    table: NpTable | None = None,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
-    seed: int = 0,
-) -> ProgressionRecord:
-    """Exhaustive solution of N_p = n: every prime in the window is tested."""
-    lo, hi = hasse_prime_window(n)
-    hits = []
+    A table for the same curve serves the primes up to its limit; each
+    good prime above the limit is counted once.
+    """
+    ps: list[int] = []
+    nps: list[int] = []
+    if table is not None and table.curve.coefficients == model.coefficients:
+        i = int(np.searchsorted(table.ps, lo))
+        j = int(np.searchsorted(table.ps, hi, side="right"))
+        ps, nps = table.ps[i:j].tolist(), table.nps[i:j].tolist()
+        lo = max(lo, table.limit + 1)
     for p in primes_in_range(lo, hi):
-        if model.disc % p == 0:
-            continue
-        if _np_lookup(model, p, table, naive_threshold, seed) == n:
-            hits.append(p)
-    return ProgressionRecord(n, tuple(hits))
+        if model.disc % p:
+            ps.append(p)
+            nps.append(count_points(model, p, seed=seed))
+    return ps, nps
+
+
+def g1(model: CurveModel, n: int, table: NpTable | None = None, seed: int = 0) -> ProgressionRecord:
+    """Exhaustive solution of N_p = n: every prime in the window is tested."""
+    ps, nps = _np_window(model, *hasse_prime_window(n), table, seed)
+    return ProgressionRecord(n, tuple(p for p, v in zip(ps, nps) if v == n))
 
 
 def find_progressions(
@@ -135,13 +135,13 @@ def find_progressions(
     n_hi: int,
     min_multiplicity: int = 2,
     table: NpTable | None = None,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
     seed: int = 0,
 ) -> list[ProgressionRecord]:
     """All n in [n_lo, n_hi] with G_1(E, n) >= min_multiplicity.
 
-    One pass over the union of the Hasse windows groups primes by point
-    count; each candidate n is then re-derived exactly through g1.
+    Both ends of the Hasse window are nondecreasing in n, so the window
+    from the low end of n_lo to the high end of n_hi holds every prime
+    whose N_p lies in range; one pass groups those primes by value.
     """
     if n_lo < 1:
         raise ValueError("range must start at n >= 1")
@@ -150,24 +150,20 @@ def find_progressions(
     lo = hasse_prime_window(n_lo)[0]
     hi = hasse_prime_window(n_hi)[1]
     groups: dict[int, list[int]] = {}
-    for p in primes_in_range(lo, hi):
-        if model.disc % p == 0:
-            continue
-        v = _np_lookup(model, p, table, naive_threshold, seed)
-        groups.setdefault(v, []).append(p)
-    out = []
-    for n in sorted(groups):
-        if n_lo <= n <= n_hi and len(groups[n]) >= min_multiplicity:
-            rec = g1(model, n, table, naive_threshold, seed)
-            if rec.multiplicity >= min_multiplicity:
-                out.append(rec)
-    return out
+    for p, v in zip(*_np_window(model, lo, hi, table, seed)):
+        if n_lo <= v <= n_hi:
+            groups.setdefault(v, []).append(p)
+    return [
+        ProgressionRecord(n, tuple(groups[n]))
+        for n in sorted(groups)
+        if len(groups[n]) >= min_multiplicity
+    ]
 
 
 _SMALLEST_CACHE: dict[tuple, tuple[int, ...]] = {}
 
 
-def _smallest_np_values(model: CurveModel, count: int, naive_threshold: int, seed: int) -> tuple[int, ...]:
+def _smallest_np_values(model: CurveModel, count: int, table: NpTable | None, seed: int) -> tuple[int, ...]:
     """The `count` smallest N_p values over distinct good primes, globally.
 
     A scan of p <= B is exhaustive once the Hasse bound forces every
@@ -180,11 +176,7 @@ def _smallest_np_values(model: CurveModel, count: int, naive_threshold: int, see
         return _SMALLEST_CACHE[key]
     bound = 1000
     while True:
-        vals = sorted(
-            count_points(model, p, naive_threshold, seed)
-            for p in primes_in_range(2, bound)
-            if model.disc % p != 0
-        )
+        vals = sorted(_np_window(model, 2, bound, table, seed)[1])
         if len(vals) >= count and hasse_prime_window(vals[count - 1])[1] <= bound:
             picked = tuple(vals[:count])
             _SMALLEST_CACHE[key] = picked
@@ -197,34 +189,28 @@ def gk_solutions(
     k: int,
     n: int,
     table: NpTable | None = None,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
     seed: int = 0,
 ) -> GkSolution:
     """All unordered k-sets of distinct good primes with N-product exactly n.
 
-    Every factor must divide n, and N_p >= p/100 plus the Hasse window
-    bound the primes that can appear, so the candidate pool is finite
-    and fixed before enumeration starts.
+    Every factor divides n and is at most n over the product of the k-1
+    smallest N_p, so the candidate pool is finite and fixed before
+    enumeration starts.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
-    smallest = _smallest_np_values(model, k - 1, naive_threshold, seed)
+    smallest = _smallest_np_values(model, k - 1, table, seed)
     other_min = math.prod(smallest) if smallest else 1
     if other_min > n:
         return GkSolution(n, k, ())
-    d_cap = min(n // other_min, 100 * n)
-    memo: dict[int, tuple[int, ...]] = {}
+    d_cap = n // other_min
     pool: list[tuple[int, int]] = []  # (N value, prime), sorted by N then p
     for d in divisors(n):
         if d > d_cap:
-            continue
-        if d not in memo:
-            memo[d] = g1(model, d, table, naive_threshold, seed).primes
-        for p in memo[d]:
-            pool.append((d, p))
-    pool.sort()
+            break
+        pool.extend((d, p) for p in g1(model, d, table, seed).primes)
     vals = [d for d, _ in pool]
     sols: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -262,7 +248,6 @@ class CensusResult:
         ns: np.ndarray,
         counts: np.ndarray,
         table: NpTable | None = None,
-        witnesses: dict[int, list[tuple[int, ...]]] | None = None,
     ):
         self.model = model
         self.k = k
@@ -270,7 +255,6 @@ class CensusResult:
         self.ns = ns
         self.counts = counts
         self._table = table
-        self._witnesses = witnesses
 
     def __len__(self) -> int:
         return len(self.ns)
@@ -306,11 +290,9 @@ class CensusResult:
             return None
         return int(self.ns[int(np.argmax(self.counts))])
 
-    def witnesses(self, n: int, limit: int = 16) -> list[tuple[int, ...]]:
-        """Up to `limit` solution sets for n; recomputed unless stored."""
-        if self._witnesses is not None and n in self._witnesses:
-            return self._witnesses[n][:limit]
-        return list(gk_solutions(self.model, self.k, n, table=self._table).solutions[:limit])
+    def witnesses(self, n: int) -> list[tuple[int, ...]]:
+        """Every solution set for n, recomputed through gk_solutions."""
+        return list(gk_solutions(self.model, self.k, n, table=self._table).solutions)
 
     def csv_lines(self) -> list[str]:
         lines = ["n,count"]
@@ -318,21 +300,32 @@ class CensusResult:
         return lines
 
 
-def _census_size(ns: list[int], k: int, x: int) -> int:
-    """Number of index-ascending k-products <= x over the sorted values ns."""
-    total = 0
+def _product_blocks(vals: list[int], k: int, x: int, repeat: bool = False) -> list[tuple[int, int, int]]:
+    """The index-ascending k-products <= x over the sorted values, as blocks.
 
-    def rec(start: int, remaining: int, cap: int) -> None:
-        nonlocal total
+    A block (partial, start, stop) stands for the products partial * vals[t]
+    for start <= t < stop, partial being the product of the k - 1 earlier
+    factors. Indices rise strictly, or weakly when `repeat` is set.
+    """
+    blocks: list[tuple[int, int, int]] = []
+    stack = [(0, k, x, 1)]
+    while stack:
+        start, remaining, cap, partial = stack.pop()
         if remaining == 1:
-            total += bisect_right(ns, cap, lo=start) - start
-            return
-        hi = bisect_right(ns, iroot(cap, remaining), lo=start)
+            stop = bisect_right(vals, cap, lo=start)
+            if stop > start:
+                blocks.append((partial, start, stop))
+            continue
+        hi = bisect_right(vals, iroot(cap, remaining), lo=start)
         for i in range(start, hi):
-            rec(i + 1, remaining - 1, cap // ns[i])
+            v = vals[i]
+            stack.append((i if repeat else i + 1, remaining - 1, cap // v, partial * v))
+    return blocks
 
-    rec(0, k, x)
-    return total
+
+def _product_count(vals: list[int], k: int, x: int) -> int:
+    """Number of index-ascending k-products <= x over the sorted values."""
+    return sum(stop - start for _, start, stop in _product_blocks(vals, k, x))
 
 
 def gk_census(
@@ -340,52 +333,41 @@ def gk_census(
     k: int,
     x: int,
     table: NpTable | None = None,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
     seed: int = 0,
     budget: int = DEFAULT_CENSUS_BUDGET,
-    use_p_bound: bool = True,
-    store_witnesses: bool = False,
     workers: int = 1,
     cache_dir=None,
 ) -> CensusResult:
     """Aggregate G_k(E, n) for every attained n <= x.
 
     The candidate primes are fixed before enumeration (Hasse window of
-    the largest possible factor, intersected with p <= 100x unless
-    use_p_bound is off), a counting pass sizes the run against `budget`,
-    and the enumeration fills one flat product array that is sorted and
-    grouped; the result is deterministic for a fixed seed.
+    the largest possible factor); one enumeration lists the product
+    blocks, their total is checked against `budget`, and the blocks fill
+    one flat product array that is sorted and grouped. The result is
+    deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     empty = np.empty(0, np.int64)
     if x < 1:
         return CensusResult(model, k, x, empty, empty, table)
-    smallest = _smallest_np_values(model, k - 1, naive_threshold, seed)
+    smallest = _smallest_np_values(model, k - 1, table, seed)
     other_min = math.prod(smallest) if smallest else 1
     if other_min > x:
         return CensusResult(model, k, x, empty, empty, table)
     n_cap = x // other_min
     limit = hasse_prime_window(n_cap)[1]
-    if use_p_bound:
-        limit = min(limit, 100 * x)
-    table = covering_table(
-        table, model, limit, workers=workers, naive_threshold=naive_threshold,
-        seed=seed, cache_dir=cache_dir,
-    )
-    ps, nps = table.upto(limit)
-    keep = nps <= n_cap
-    ps, nps = ps[keep], nps[keep]
-    order = np.lexsort((ps, nps))
-    nps_arr = nps[order]
-    ps_arr = ps[order]
+    table = covering_table(table, model, limit, workers=workers, seed=seed, cache_dir=cache_dir)
+    nps = table.upto(limit)[1]
+    nps_arr = np.sort(nps[nps <= n_cap])
     ns = nps_arr.tolist()
-    total = _census_size(ns, k, x)
+    blocks = _product_blocks(ns, k, x)
+    total = sum(stop - start for _, start, stop in blocks)
     if total > budget:
         lo_b, hi_b = 1, x
         while lo_b < hi_b:
             mid = (lo_b + hi_b + 1) // 2
-            if _census_size(ns, k, mid) <= budget:
+            if _product_count(ns, k, mid) <= budget:
                 lo_b = mid
             else:
                 hi_b = mid - 1
@@ -398,39 +380,15 @@ def gk_census(
         return CensusResult(model, k, x, empty, empty, table)
     products = np.empty(total, dtype=np.int64)
     cursor = 0
-    witnesses: dict[int, list[tuple[int, ...]]] | None = {} if store_witnesses else None
-    chosen: list[int] = []
-
-    def rec(start: int, remaining: int, cap: int, partial: int) -> None:
-        nonlocal cursor
-        if remaining == 1:
-            j = bisect_right(ns, cap, lo=start)
-            if j > start:
-                block = partial * nps_arr[start:j]
-                products[cursor : cursor + (j - start)] = block
-                cursor += j - start
-                if witnesses is not None:
-                    for t in range(start, j):
-                        sets = witnesses.setdefault(int(block[t - start]), [])
-                        if len(sets) < 16:
-                            sets.append(tuple(sorted(chosen + [int(ps_arr[t])])))
-            return
-        hi = bisect_right(ns, iroot(cap, remaining), lo=start)
-        for i in range(start, hi):
-            if witnesses is not None:
-                chosen.append(int(ps_arr[i]))
-            rec(i + 1, remaining - 1, cap // ns[i], partial * int(nps_arr[i]))
-            if witnesses is not None:
-                chosen.pop()
-
-    rec(0, k, x, 1)
-    assert cursor == total
+    for partial, start, stop in blocks:
+        products[cursor : cursor + stop - start] = partial * nps_arr[start:stop]
+        cursor += stop - start
     products.sort()
     breaks = np.flatnonzero(products[1:] != products[:-1])
     starts = np.concatenate(([0], breaks + 1))
     uniq = products[starts].copy()
     counts = np.diff(np.concatenate((starts, [total]))).astype(np.int64)
-    return CensusResult(model, k, x, uniq, counts, table, witnesses)
+    return CensusResult(model, k, x, uniq, counts, table)
 
 
 def bk_count(
@@ -441,10 +399,7 @@ def bk_count(
     a: float | None = None,
     b: float | None = None,
     table: NpTable | None = None,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
     seed: int = 0,
-    workers: int = 1,
-    cache_dir=None,
 ) -> BkReport:
     """Count squarefree products of k distinct admissible primes <= x.
 
@@ -462,10 +417,7 @@ def bk_count(
     threshold = (1.0 - epsilon) * loglog(x)
     if (a is None) != (b is None):
         raise ValueError("give both a and b, or neither")
-    table = covering_table(
-        table, model, x, workers=workers, naive_threshold=naive_threshold,
-        seed=seed, cache_dir=cache_dir,
-    )
+    table = covering_table(table, model, x, seed=seed)
     ps, nps = table.upto(x)
     sieve = shared_sieve(int(nps.max()) if len(nps) else 2)
     admissible = [
@@ -476,7 +428,7 @@ def bk_count(
             raise ValueError("need 0 < a < b < 1")
         lo_p, hi_p = x**a, x**b
         admissible = [p for p in admissible if lo_p <= p < hi_p]
-    count = _census_size(admissible, k, x)
+    count = _product_count(admissible, k, x)
     return BkReport(x, k, epsilon, count, count * math.log(x) / x)
 
 
@@ -503,16 +455,6 @@ def dense_product_count(
     factors = np.flatnonzero(w > threshold).tolist()
     arr = np.asarray(factors, dtype=np.int64)
     marked = np.zeros(x + 1, dtype=bool)
-
-    def rec(start: int, remaining: int, cap: int, partial: int) -> None:
-        if remaining == 1:
-            j = bisect_right(factors, cap, lo=start)
-            if j > start:
-                marked[partial * arr[start:j]] = True
-            return
-        hi = bisect_right(factors, iroot(cap, remaining), lo=start)
-        for i in range(start, hi):
-            rec(i, remaining - 1, cap // factors[i], partial * factors[i])
-
-    rec(0, k, x, 1)
+    for partial, start, stop in _product_blocks(factors, k, x, repeat=True):
+        marked[partial * arr[start:stop]] = True
     return int(np.count_nonzero(marked))

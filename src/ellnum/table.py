@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .arith import primes_up_to
-from .counting import DEFAULT_NAIVE_THRESHOLD, count_points
+from .counting import count_points
 from .curves import CurveModel
 from .errors import (
     TableBuildError,
@@ -100,16 +100,15 @@ class NpTable:
                 raise TableFormatError(f"{b} is marked bad but does not divide disc {self.curve.disc}")
 
 
-def _count_chunk(coeffs, primes, naive_threshold, seed):
+def _count_chunk(coeffs, primes, seed):
     model = CurveModel.from_coefficients(*coeffs)
-    return [(p, count_points(model, p, naive_threshold, seed)) for p in primes]
+    return [(p, count_points(model, p, seed=seed)) for p in primes]
 
 
 def build_table(
     model: CurveModel,
     limit: int,
     workers: int = 1,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
     seed: int = 0,
 ) -> NpTable:
     """Compute N_p for every good prime <= limit.
@@ -125,7 +124,7 @@ def build_table(
     if workers <= 1 or len(chunks) <= 1:
         for i, chunk in enumerate(chunks):
             try:
-                results.append(_count_chunk(model.coefficients, chunk, naive_threshold, seed))
+                results.append(_count_chunk(model.coefficients, chunk, seed))
             except Exception as exc:
                 done_to = results[-1][-1][0] if results else 0
                 raise TableBuildError(
@@ -134,7 +133,7 @@ def build_table(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_count_chunk, model.coefficients, chunk, naive_threshold, seed)
+                pool.submit(_count_chunk, model.coefficients, chunk, seed)
                 for chunk in chunks
             ]
             for i, fut in enumerate(futures):
@@ -231,7 +230,6 @@ def cached_table(
     limit: int,
     cache_dir: str | os.PathLike | None = None,
     workers: int = 1,
-    naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
     seed: int = 0,
 ) -> NpTable:
     """Load the table from the cache directory, or build and cache it.
@@ -240,11 +238,11 @@ def cached_table(
     fails validation is reported, never silently rebuilt.
     """
     if cache_dir is None:
-        return build_table(model, limit, workers, naive_threshold, seed)
+        return build_table(model, limit, workers, seed)
     path = cache_path(cache_dir, model, limit)
     if os.path.exists(path):
         return load_table(path, expect=model)
-    table = build_table(model, limit, workers, naive_threshold, seed)
+    table = build_table(model, limit, workers, seed)
     save_table(table, path)
     return table
 

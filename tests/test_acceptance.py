@@ -84,7 +84,7 @@ def test_c01c_products_3107520(np_values, curve_a, table_a):
         f"(published 3107520)")
     assert left == right == 99 * 120 * 254 == 132 * 127 * 180
     census = gk_census(curve_a, 3, 4_000_000, table=table_a)
-    witnesses = census.witnesses(left, limit=census.count(left))
+    witnesses = census.witnesses(left)
     assert (101, 107, 251) in witnesses
     assert (113, 127, 167) in witnesses
 

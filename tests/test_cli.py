@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -174,3 +175,24 @@ class TestVerifyPaper:
         proc = run_cli("verify-paper", "--cache", str(tmp_path), expect=1)
         assert "FAIL" in proc.stdout
         assert "Hasse" in proc.stdout
+
+
+# sha256 of the exact stdout bytes of fixed commands. Output is part of the
+# determinism contract: a refactor that changes any of these bytes fails here.
+GOLDEN_STDOUT = {
+    ("g1", "--curve", "0,0,3,-1,2", "--n", "624"):
+        "9db0cb4161a9118508e23321964d78af9d26dd7110a437b6844d617bedb51a3a",
+    ("progressions", "--curve", "0,0,3,-1,2", "--lo", "10262", "--hi", "11441"):
+        "ceeb4c45fe5c6e594ec5f45bf4872eca2e4de077a1499e1fa9fc58eb18e0e634",
+    ("gk", "--k", "3", "--n", "3017520"):
+        "9a230838cab7ccfd6168ed5d7cfed637d50185e9042bb0d9d8977efc31637357",
+    ("census", "--k", "3", "--x", "100000", "--format", "csv"):
+        "75e34a6930ade62b6ec2e3c1ac24065a34ab3c240b17fd70136b38febe2e439e",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=lambda a: a[0])
+def test_golden_stdout(args, tmp_path):
+    proc = subprocess.run(CMD + list(args) + ["--cache", str(tmp_path)], capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_STDOUT[args]

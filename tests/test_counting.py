@@ -103,11 +103,13 @@ class TestDispatcher:
         assert "37" in str(exc.value)
 
     def test_threshold_routes_to_bsgs(self, curve_a):
-        assert count_points(curve_a, 1009, naive_threshold=500) == 1057
+        rc = ReducedCurve.reduce(curve_a, 1009)
+        assert count_bsgs(rc) == count_charsum(rc) == 1057
 
     def test_dispatch_regions_agree(self, curve_a):
         for p in good_primes(curve_a, 5, 400):
-            assert count_points(curve_a, p, naive_threshold=2) == count_points(curve_a, p)
+            rc = ReducedCurve.reduce(curve_a, p)
+            assert count_bsgs(rc) == count_charsum(rc), p
 
 
 class TestHasseInvariants:

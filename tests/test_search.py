@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from ellnum.arith import loglog, omega, omega_table
+from ellnum import search
+from ellnum.arith import loglog, omega, omega_table, primes_in_range
 from ellnum.counting import count_points
 from ellnum.errors import CensusBudgetError
 from ellnum.search import (
@@ -105,6 +106,30 @@ class TestFindProgressions:
         for n, mult in expected.items():
             assert recs[n] == mult, n
 
+    def test_counts_each_window_prime_once(self, curve_b, monkeypatch):
+        calls = []
+        real = search.count_points
+
+        def counted(model, p, *args, **kwargs):
+            calls.append(p)
+            return real(model, p, *args, **kwargs)
+
+        monkeypatch.setattr(search, "count_points", counted)
+        find_progressions(curve_b, 10262, 11441, 2)
+        lo, hi = hasse_prime_window(10262)[0], hasse_prime_window(11441)[1]
+        assert calls == [p for p in primes_in_range(lo, hi) if curve_b.disc % p]
+
+    def test_matches_g1_across_table_limit(self, curve_a, table_a5k):
+        # the union window [4763, 5242] runs past the table's limit of 5000,
+        # so it is read partly from the table and partly by counting
+        n_lo, n_hi = 4900, 5100
+        assert hasse_prime_window(n_lo)[0] < table_a5k.limit < hasse_prime_window(n_hi)[1]
+        oracle = [rec for rec in (g1(curve_a, n) for n in range(n_lo, n_hi + 1)) if rec.multiplicity]
+        assert find_progressions(curve_a, n_lo, n_hi, 1, table=table_a5k) == oracle
+        assert find_progressions(curve_a, n_lo, n_hi, 2, table=table_a5k) == [
+            rec for rec in oracle if rec.multiplicity >= 2
+        ]
+
     def test_min_multiplicity_filters(self, curve_b):
         at2 = find_progressions(curve_b, 11400, 11450, 2)
         at3 = find_progressions(curve_b, 11400, 11450, 3)
@@ -161,12 +186,12 @@ class TestCensus:
         assert census.csv_lines() == ["n,count"]
 
     def test_self_consistency_small(self, curve_a, table_a5k):
-        census = gk_census(curve_a, 3, 3000, table=table_a5k, store_witnesses=True)
+        census = gk_census(curve_a, 3, 3000, table=table_a5k)
         np_of = dict(iter(table_a5k))
         for n, count in census.items():
             assert n <= 3000
             sets = census.witnesses(n)
-            assert len(sets) == min(count, 16)
+            assert len(sets) == count
             for s in sets:
                 assert math.prod(np_of[p] for p in s) == n
 
@@ -190,11 +215,6 @@ class TestCensus:
         brute = Counter(n for _, n in table_a5k if n <= 500)
         assert dict(census.items()) == dict(brute)
 
-    def test_prune_toggle_is_sound(self, curve_a, table_a5k):
-        with_bound = gk_census(curve_a, 3, 10_000, table=table_a5k)
-        without = gk_census(curve_a, 3, 10_000, table=table_a5k, use_p_bound=False)
-        assert dict(with_bound.items()) == dict(without.items())
-
     def test_budget_error_reports_feasible_bound(self, curve_a, table_a5k):
         with pytest.raises(CensusBudgetError) as exc:
             gk_census(curve_a, 2, 10_000, table=table_a5k, budget=10)
@@ -207,8 +227,9 @@ class TestCensus:
         census = gk_census(curve_a, 3, 4_000_000, table=table_a)
         assert census.count(3017520) == 25
         assert census.count(3107520) == 7
-        wit = set(census.witnesses(3017520, limit=32))
-        assert {(101, 107, 251), (113, 127, 167)} <= wit
+        wit = census.witnesses(3017520)
+        assert len(wit) == len(set(wit)) == 25
+        assert {(101, 107, 251), (113, 127, 167)} <= set(wit)
 
 
 def _brute_bk(model, k, x, epsilon, table):
