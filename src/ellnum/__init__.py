@@ -11,7 +11,7 @@ from .arith import (
     powerful_part,
     primes_up_to,
 )
-from .counting import count_bsgs, count_charsum, count_naive, count_points, hasse_bounds
+from .counting import count_bsgs, count_charsum, count_naive, count_points, count_points_many, hasse_bounds
 from .curves import (
     CurveModel,
     ReducedCurve,

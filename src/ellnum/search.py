@@ -195,7 +195,8 @@ def gk_solutions(
 
     Every factor divides n and is at most n over the product of the k-1
     smallest N_p, so the candidate pool is finite and fixed before
-    enumeration starts.
+    enumeration starts. The Hasse windows of those divisors overlap, so
+    their union is read once, span by span.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -206,11 +207,20 @@ def gk_solutions(
     if other_min > n:
         return GkSolution(n, k, ())
     d_cap = n // other_min
+    wanted = [d for d in divisors(n) if d <= d_cap]
+    # both ends of the window are nondecreasing in d, so spans merge in order
+    spans: list[list[int]] = []
+    for d in wanted:
+        lo, hi = hasse_prime_window(d)
+        if spans and lo <= spans[-1][1] + 1:
+            spans[-1][1] = hi
+        else:
+            spans.append([lo, hi])
+    wanted_set = set(wanted)
     pool: list[tuple[int, int]] = []  # (N value, prime), sorted by N then p
-    for d in divisors(n):
-        if d > d_cap:
-            break
-        pool.extend((d, p) for p in g1(model, d, table, seed).primes)
+    for lo, hi in spans:
+        pool.extend((v, p) for p, v in zip(*_np_window(model, lo, hi, table, seed)) if v in wanted_set)
+    pool.sort()
     vals = [d for d, _ in pool]
     sols: list[tuple[int, ...]] = []
     chosen: list[int] = []

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .arith import primes_up_to
-from .counting import count_points
+from .counting import count_points, count_points_many  # noqa: F401 (perfbench wraps table.count_points)
 from .curves import CurveModel
 from .errors import (
     TableBuildError,
@@ -102,7 +102,7 @@ class NpTable:
 
 def _count_chunk(coeffs, primes, seed):
     model = CurveModel.from_coefficients(*coeffs)
-    return [(p, count_points(model, p, seed=seed)) for p in primes]
+    return list(zip(primes, count_points_many(model, primes, seed=seed)))
 
 
 def build_table(
@@ -113,8 +113,9 @@ def build_table(
 ) -> NpTable:
     """Compute N_p for every good prime <= limit.
 
-    Work is split into contiguous chunks of ~1000 primes; results are
-    merged in prime order, so the table is identical for any worker count.
+    Work is split into contiguous chunks of ~1000 primes, each counted as
+    one batch by count_points_many; results are merged in prime order, so
+    the table is identical for any worker count.
     """
     primes = primes_up_to(limit)
     good = [p for p in primes if model.disc % p != 0]

@@ -172,6 +172,23 @@ class TestGkSolutions:
         assert gk_solutions(curve_a, 3, 30).count == 0
         assert gk_solutions(curve_a, 2, 1).count == 0
 
+    def test_counts_each_prime_once(self, curve_a, monkeypatch):
+        # the k-1 smallest N_p are scanned once per process and cached;
+        # past that scan, the overlapping divisor windows are read as one union
+        search._smallest_np_values(curve_a, 2, None, 0)
+        calls = []
+        real = search.count_points
+
+        def counted(model, p, *args, **kwargs):
+            calls.append(p)
+            return real(model, p, *args, **kwargs)
+
+        monkeypatch.setattr(search, "count_points", counted)
+        sol = gk_solutions(curve_a, 3, 3017520)
+        assert len(calls) == len(set(calls))
+        assert {(101, 107, 251), (113, 127, 167)} <= set(sol.solutions)
+        assert sol.count == 25
+
     def test_rejects_bad_arguments(self, curve_a):
         with pytest.raises(ValueError):
             gk_solutions(curve_a, 0, 10)

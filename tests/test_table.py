@@ -1,7 +1,9 @@
+import hashlib
 import os
 
 import pytest
 
+from ellnum import counting
 from ellnum.arith import primes_up_to
 from ellnum.errors import (
     TableCurveError,
@@ -50,6 +52,30 @@ class TestBuild:
         assert t.np_of(101) == 99
         with pytest.raises(KeyError):
             t.np_of(37)
+
+
+class TestGoldenTable:
+    # sha256 of the saved build_table(37a, 115000), recorded when the table
+    # was counted one prime at a time (charsum to 1e5, scalar BSGS above)
+    TABLE_A_SHA256 = "d6caffcac669b3944a2f0b0d06b34cea7b7d587d0c24f45af3749f3e768ada3c"
+
+    def test_saved_table_a_bytes(self, table_a, tmp_path):
+        path = tmp_path / "37a.ellnum"
+        save_table(table_a, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TABLE_A_SHA256
+
+    def test_no_charsum_above_the_threshold(self, curve_a, monkeypatch):
+        seen = []
+        real = counting.count_charsum
+
+        def spy(rc):
+            seen.append(rc.p)
+            return real(rc)
+
+        monkeypatch.setattr(counting, "count_charsum", spy)
+        table = build_table(curve_a, 20_000)
+        assert table.np_of(1009) == 1057
+        assert seen and max(seen) <= counting.CHARSUM_THRESHOLD
 
 
 class TestWorkersDeterminism:
