@@ -1,16 +1,6 @@
 """Elliptic-curve point counts, product-equation search, and omega statistics."""
 
-from .arith import (
-    FactorSieve,
-    big_omega,
-    divisor_count,
-    is_prime,
-    loglog,
-    omega,
-    omega_z,
-    powerful_part,
-    primes_up_to,
-)
+from .arith import FactorSieve, is_prime, loglog, omega, primes_up_to
 from .counting import count_bsgs, count_charsum, count_naive, count_points, count_points_many, hasse_bounds
 from .curves import (
     CurveModel,

@@ -2,6 +2,8 @@
 
 The factor sieve keeps smallest prime factors up to a configurable limit
 (default 2 * 10**6); values above the limit fall back to trial division.
+omega_table counts distinct prime factors over a whole range at once: the
+pipeline reads omega(N_p) from it, and the per-value omega is its reference.
 """
 
 from __future__ import annotations
@@ -143,27 +145,6 @@ def omega(n: int, sieve: FactorSieve | None = None) -> int:
     return len(sieve.factorize(n))
 
 
-def big_omega(n: int, sieve: FactorSieve | None = None) -> int:
-    """Number of prime factors of n >= 1 counted with multiplicity."""
-    sieve = sieve or shared_sieve()
-    return sum(e for _, e in sieve.factorize(n))
-
-
-def omega_z(n: int, z: int, sieve: FactorSieve | None = None) -> int:
-    """Number of distinct prime factors q of n with q < z."""
-    sieve = sieve or shared_sieve()
-    return sum(1 for q, _ in sieve.factorize(n) if q < z)
-
-
-def divisor_count(n: int, sieve: FactorSieve | None = None) -> int:
-    """d(n), the number of positive divisors of n >= 1."""
-    sieve = sieve or shared_sieve()
-    d = 1
-    for _, e in sieve.factorize(n):
-        d *= e + 1
-    return d
-
-
 def divisors(n: int, sieve: FactorSieve | None = None) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     sieve = sieve or shared_sieve()
@@ -172,21 +153,6 @@ def divisors(n: int, sieve: FactorSieve | None = None) -> list[int]:
         out = [d * q**i for d in out for i in range(e + 1)]
     out.sort()
     return out
-
-
-def powerful_part(n: int, sieve: FactorSieve | None = None) -> tuple[int, int]:
-    """Split n = m1 * m2 with m1 squarefree, m2 powerful, gcd(m1, m2) = 1.
-
-    Primes with exponent 1 go to m1; all higher powers go to m2.
-    """
-    sieve = sieve or shared_sieve()
-    m1 = m2 = 1
-    for q, e in sieve.factorize(n):
-        if e == 1:
-            m1 *= q
-        else:
-            m2 *= q**e
-    return m1, m2
 
 
 def is_squarefree(n: int, sieve: FactorSieve | None = None) -> bool:
@@ -232,9 +198,20 @@ def iroot(n: int, k: int) -> int:
 
 
 def omega_table(limit: int) -> np.ndarray:
-    """omega(n) for all 0 <= n <= limit as a small-int array."""
+    """omega(n) for all 0 <= n <= limit as a small-int array.
+
+    Only the primes q <= sqrt(limit) are sieved; each strips its powers
+    from a cofactor array, and a cofactor left above 1 is the one prime
+    factor above sqrt(limit) that a value <= limit can have.
+    """
     w = np.zeros(limit + 1, dtype=np.int8)
-    for p in primes_up_to(limit):
-        w[p::p] += 1
+    rem = np.arange(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
+    for q in primes_up_to(math.isqrt(limit)):
+        w[q::q] += 1
+        qa = q
+        while qa <= limit:
+            rem[qa::qa] //= q
+            qa *= q
+    w[2:] += rem[2:] > 1
     return w
 

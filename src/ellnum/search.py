@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, iroot, loglog, omega, omega_table, primes_in_range, shared_sieve
+from .arith import divisors, iroot, loglog, omega_table, primes_in_range
 from .counting import count_points
 from .curves import CurveModel
 from .errors import CensusBudgetError
@@ -429,10 +429,7 @@ def bk_count(
         raise ValueError("give both a and b, or neither")
     table = covering_table(table, model, x, seed=seed)
     ps, nps = table.upto(x)
-    sieve = shared_sieve(int(nps.max()) if len(nps) else 2)
-    admissible = [
-        int(p) for p, v in zip(ps.tolist(), nps.tolist()) if omega(v, sieve) >= threshold
-    ]
+    admissible = ps[omega_table(int(nps.max(initial=0)))[nps] >= threshold].tolist()
     if a is not None:
         if not 0 < a < b < 1:
             raise ValueError("need 0 < a < b < 1")

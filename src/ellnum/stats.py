@@ -1,8 +1,9 @@
 """Empirical distribution statistics of omega(N_p) over good primes.
 
 Centered moments use the range bound x for the centering term loglog(x),
-never a per-prime value. Summation order is fixed (ascending p) so every
-floating-point result is bit-reproducible.
+never a per-prime value. omega(N_p) is read from one omega_table per pass.
+Sums run left to right in ascending p (a cumulative sum, not numpy's
+pairwise np.sum) so every floating-point result is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_squarefree, loglog, omega, shared_sieve
+from .arith import is_squarefree, loglog, omega_table
+from .arith import shared_sieve  # noqa: F401 (perfbench wraps stats.shared_sieve)
 from .table import NpTable
 
 
@@ -123,15 +125,19 @@ class RecipSumReport:
         }
 
 
-def _omega_values(table: NpTable, x: int) -> tuple[list[int], list[int]]:
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum; 0.0 when empty."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _omega_values(table: NpTable, x: int) -> tuple[np.ndarray, np.ndarray]:
     """(good primes <= x, omega of their N values), ascending p."""
     if x > table.limit:
         raise ValueError(f"x={x} exceeds the table limit {table.limit}")
     ps, nps = table.upto(x)
     if len(ps) == 0:
         raise ValueError(f"no good primes <= {x} in the table")
-    sieve = shared_sieve(int(nps.max()))
-    return ps.tolist(), [omega(v, sieve) for v in nps.tolist()]
+    return ps, omega_table(int(nps.max()))[nps]
 
 
 def moments(table: NpTable, x: int) -> MomentReport:
@@ -139,15 +145,11 @@ def moments(table: NpTable, x: int) -> MomentReport:
     llx = loglog(x)
     _, ws = _omega_values(table, x)
     n_good = len(ws)
-    m2 = 0.0
-    m4 = 0.0
-    total = 0
-    for w in ws:
-        d = w - llx
-        d2 = d * d
-        m2 += d2
-        m4 += d2 * d2
-        total += w
+    d = ws - llx
+    d2 = d * d
+    m2 = _ordered_sum(d2)
+    m4 = _ordered_sum(d2 * d2)
+    total = int(ws.sum())
     pi_x = n_good + sum(1 for b in table.bad_primes if b <= x)
     return MomentReport(
         x=x,
@@ -173,15 +175,14 @@ def standardized_distribution(table: NpTable, x: int, bins: int) -> Distribution
     llx = loglog(x)
     scale = math.sqrt(llx)
     _, ws = _omega_values(table, x)
-    values = np.asarray([(w - llx) / scale for w in ws])
+    values = (ws - llx) / scale
     counts, edges = np.histogram(values, bins=bins)
     masses = counts / counts.sum()
     values.sort()
     n = len(values)
-    ks = 0.0
-    for i, v in enumerate(values.tolist()):
-        c = _normal_cdf(v)
-        ks = max(ks, abs((i + 1) / n - c), abs(i / n - c))
+    cdf = np.array([_normal_cdf(v) for v in values.tolist()])
+    i = np.arange(n)
+    ks = float(max(np.abs((i + 1) / n - cdf).max(), np.abs(i / n - cdf).max()))
     return DistributionReport(
         x=x,
         sample_size=n,
@@ -196,16 +197,10 @@ def admissibility_profile(table: NpTable, x: int, epsilon: float) -> Admissibili
         raise ValueError("epsilon must lie in (0, 1)")
     threshold = (1.0 - epsilon) * loglog(x)
     ps, ws = _omega_values(table, x)
-    adm = 0
-    inad = 0
-    recip = 0.0
-    for p, w in zip(ps, ws):
-        if w >= threshold:
-            adm += 1
-        else:
-            inad += 1
-            recip += 1.0 / p
-    return AdmissibilityProfile(x, epsilon, threshold, adm, inad, recip)
+    inad = ws < threshold
+    n_inad = int(np.count_nonzero(inad))
+    recip = _ordered_sum(1.0 / ps[inad])
+    return AdmissibilityProfile(x, epsilon, threshold, len(ws) - n_inad, n_inad, recip)
 
 
 def admissible_recip_sum(table: NpTable, x: int, a: float, b: float, epsilon: float) -> RecipSumReport:
@@ -224,31 +219,20 @@ def admissible_recip_sum(table: NpTable, x: int, a: float, b: float, epsilon: fl
         raise ValueError(f"x^b = {hi:.1f} exceeds the table limit {table.limit}")
     lo = x**a
     threshold = (1.0 - epsilon) * loglog(x)
-    sieve = shared_sieve(table.max_np() or 2)
-    total = adm = inad = 0.0
-    seen = False
-    for p, v in zip(table.ps.tolist(), table.nps.tolist()):
-        if p < lo:
-            continue
-        if p >= hi:
-            break
-        seen = True
-        r = 1.0 / p
-        total += r
-        if omega(v, sieve) >= threshold:
-            adm += r
-        else:
-            inad += r
+    band = (table.ps >= lo) & (table.ps < hi)
+    nps = table.nps[band]
+    r = 1.0 / table.ps[band]
+    ok = omega_table(int(nps.max(initial=0)))[nps] >= threshold
     return RecipSumReport(
         x=x,
         a=a,
         b=b,
         epsilon=epsilon,
-        total_sum=total,
-        admissible_sum=adm,
-        inadmissible_sum=inad,
+        total_sum=_ordered_sum(r),
+        admissible_sum=_ordered_sum(r[ok]),
+        inadmissible_sum=_ordered_sum(r[~ok]),
         mertens_reference=math.log(b / a),
-        empty_range=not seen,
+        empty_range=not len(r),
     )
 
 

@@ -19,6 +19,7 @@ from .curves import CurveModel
 from .errors import (
     TableBuildError,
     TableCurveError,
+    TableError,
     TableFormatError,
     TableHasseError,
     TableOrderError,
@@ -249,7 +250,12 @@ def cached_table(
 
 
 def covering_table(table: NpTable | None, model: CurveModel, limit: int, **kw) -> NpTable:
-    """Reuse `table` if it already covers `limit`, else build one that does."""
-    if table is not None and table.curve.coefficients == model.coefficients and table.limit >= limit:
-        return table
-    return cached_table(model, limit, **kw)
+    """`table` itself, which must cover `limit`; with no table, a cached one that does."""
+    if table is None:
+        return cached_table(model, limit, **kw)
+    if table.curve.coefficients != model.coefficients or table.limit < limit:
+        raise TableError(
+            f"the table of curve {table.curve.spec_text()} to {table.limit} "
+            f"does not cover curve {model.spec_text()} to {limit}"
+        )
+    return table

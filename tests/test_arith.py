@@ -1,5 +1,5 @@
 import math
-from math import gcd
+import random
 
 import pytest
 from hypothesis import given
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from ellnum.arith import (
     FactorSieve,
-    big_omega,
-    divisor_count,
     divisors,
     iroot,
     is_prime,
@@ -16,8 +14,6 @@ from ellnum.arith import (
     loglog,
     omega,
     omega_table,
-    omega_z,
-    powerful_part,
     primes_in_range,
     primes_up_to,
     reciprocal_prime_sum,
@@ -94,71 +90,49 @@ class TestAdditiveFunctions:
         assert omega(3360) == 4  # 2^5 * 3 * 5 * 7
         assert omega(1057) == 2  # 7 * 151
 
-    def test_big_omega_examples(self):
-        assert big_omega(1) == 0
-        assert big_omega(3360) == 8
-        assert big_omega(97) == 1
-
-    def test_omega_z_examples(self):
-        assert omega_z(3360, 5) == 2
-        assert all(omega_z(n, 2) == 0 for n in range(1, 50))
-        assert omega_z(3360, 10**6) == omega(3360) == 4
-
-    def test_divisor_count_examples(self):
-        assert divisor_count(1) == 1
-        assert divisor_count(12) == 6
-        assert divisor_count(3360) == 48
-
     def test_errors_on_zero(self):
-        for fn in (omega, big_omega, divisor_count):
-            with pytest.raises(ValueError):
-                fn(0)
         with pytest.raises(ValueError):
-            omega_z(0, 5)
+            omega(0)
 
     def test_order_relations_up_to_1e4(self):
+        sieve = FactorSieve(10_000)
         for n in range(2, 10_001):
-            w, W = omega(n), big_omega(n)
-            assert w <= W <= math.log2(n) + 1e-9
-            assert omega_z(n, 7) <= w
-            assert omega_z(n, n + 1) == w
+            w = omega(n)
+            assert w <= sum(e for _, e in sieve.factorize(n)) <= math.log2(n) + 1e-9
 
     def test_omega_table_matches_pointwise(self):
-        table = omega_table(3000)
-        for n in range(2, 3001):
-            assert int(table[n]) == omega(n)
+        for limit in (3000, 120_000):
+            table = omega_table(limit)
+            assert len(table) == limit + 1 and table[0] == table[1] == 0
+            for n in range(2, limit + 1):
+                assert int(table[n]) == omega(n), n
+
+    def test_omega_table_sampled_to_5_8e6(self):
+        # seeded values plus the edges of the sieve: prime squares near
+        # sqrt(limit), and values whose cofactor is a prime above it
+        limit = 5_800_000
+        root = math.isqrt(limit)
+        rng = random.Random(20_000)
+        ns = [rng.randint(2, limit) for _ in range(2000)]
+        near_root = primes_in_range(root - 60, root)
+        ns += [q * q for q in near_root]
+        ns += primes_in_range(limit - 200, limit)
+        ns += [2 * p for p in primes_in_range(limit // 2 - 100, limit // 2)]
+        pairs = [(q, p) for q in (2, 3, 5, near_root[0]) for p in primes_in_range(root + 1, root + 60)]
+        ns += [q * p for q, p in pairs if q * p <= limit]
+        table = omega_table(limit)
+        for n in ns:
+            assert int(table[n]) == omega(n), n
 
     def test_divisors_listing(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(1) == [1]
-        assert len(divisors(3360)) == divisor_count(3360)
+        assert len(divisors(3360)) == 48  # 2^5 * 3 * 5 * 7: 6 * 2 * 2 * 2
 
-
-class TestPowerfulPart:
-    def test_examples(self):
-        assert powerful_part(1) == (1, 1)
-        assert powerful_part(12) == (3, 4)
-        assert powerful_part(3360) == (105, 32)
-
-    def test_exhaustive_reconstruction(self):
-        from ellnum.arith import shared_sieve
-
-        sieve = shared_sieve(10_000)
-        for n in range(1, 10_001):
-            m1, m2 = powerful_part(n)
-            assert m1 * m2 == n
-            assert gcd(m1, m2) == 1
-            assert is_squarefree(m1)
-            assert all(e >= 2 for _, e in sieve.factorize(m2))
-
-    @given(st.integers(1, 10**6))
-    def test_powerful_part_property(self, n):
-        from ellnum.arith import shared_sieve
-
-        m1, m2 = powerful_part(n)
-        assert m1 * m2 == n and gcd(m1, m2) == 1
-        assert is_squarefree(m1)
-        assert all(e >= 2 for _, e in shared_sieve().factorize(m2))
+    def test_is_squarefree_matches_square_divisors(self):
+        for n in range(1, 5001):
+            direct = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+            assert is_squarefree(n) == direct, n
 
 
 class TestDivisorSumBound:
@@ -168,7 +142,7 @@ class TestDivisorSumBound:
         hyperbola = sum(x // d for d in range(1, x + 1))
         assert hyperbola <= 2 * x * math.log(x)
         if x <= 10_000:
-            direct = sum(divisor_count(n) for n in range(1, x + 1))
+            direct = sum(len(divisors(n)) for n in range(1, x + 1))
             assert direct == hyperbola
 
 

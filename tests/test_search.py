@@ -7,7 +7,7 @@ import pytest
 from ellnum import search
 from ellnum.arith import loglog, omega, omega_table, primes_in_range
 from ellnum.counting import count_points
-from ellnum.errors import CensusBudgetError
+from ellnum.errors import CensusBudgetError, TableError
 from ellnum.search import (
     bk_count,
     default_epsilon,
@@ -240,6 +240,15 @@ class TestCensus:
         retry = gk_census(curve_a, 2, bound, table=table_a5k, budget=10)
         assert retry.total_products <= 10
 
+    def test_short_or_foreign_table_raises(self, curve_a, curve_b, table_a5k):
+        # k = 2 at 1e5: factors up to 1e5 / 5, whose Hasse window ends at 20283
+        with pytest.raises(TableError) as exc:
+            gk_census(curve_a, 2, 100_000, table=table_a5k)
+        msg = str(exc.value)
+        assert "20283" in msg and "5000" in msg and "0,0,1,-1,0" in msg
+        with pytest.raises(TableError):
+            gk_census(curve_b, 2, 1_000, table=table_a5k)
+
     def test_4e6_witness_counts(self, curve_a, table_a):
         census = gk_census(curve_a, 3, 4_000_000, table=table_a)
         assert census.count(3017520) == 25
@@ -294,6 +303,11 @@ class TestBkCount:
         rep = bk_count(curve_a, 3, 100_000, 0.008, table=table_a)
         assert rep.count == 0
         assert rep.density_ratio == 0.0
+
+    def test_short_table_raises(self, curve_a, table_a5k):
+        with pytest.raises(TableError) as exc:
+            bk_count(curve_a, 2, 10_000, table=table_a5k)
+        assert "10000" in str(exc.value) and "5000" in str(exc.value)
 
     def test_argument_validation(self, curve_a, table_a5k):
         with pytest.raises(ValueError):

@@ -100,16 +100,18 @@ class TestBuildFailure:
         real = table_mod._count_chunk
         calls = {"n": 0}
 
-        def flaky(coeffs, primes, threshold, seed):
+        def flaky(coeffs, primes, seed):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise MemoryError("simulated exhaustion")
-            return real(coeffs, primes, threshold, seed)
+            return real(coeffs, primes, seed)
 
         monkeypatch.setattr(table_mod, "_count_chunk", flaky)
         with pytest.raises(TableBuildError) as exc:
             build_table(curve_a, 100)
-        assert "completed through p=" in str(exc.value)
+        # chunks of five good primes: 2..11, 13..29, then the failure
+        assert "chunk 2 (completed through p=29)" in str(exc.value)
+        assert isinstance(exc.value.__cause__, MemoryError)
 
 
 class TestRoundTrip:
