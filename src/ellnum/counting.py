@@ -17,22 +17,24 @@ import random
 
 import numpy as np
 
-from .arith import primes_up_to
 from .curves import CurveModel, Point, ReducedCurve, _add_raw, legendre, point_neg, scalar_mul, sqrt_mod
 from .errors import EllnumError
 
 # Characters sums stay exact in int64 up to here; BSGS has no such cap.
 CHARSUM_PRIME_CAP = 1 << 30
 
-# Dispatch threshold: charsum for p up to here; above it count_points uses
-# BSGS and count_points_many the lanes. Charsum's int64 arrays stay under
-# glibc's 128 KB mmap threshold, so they come from the heap.
+# Dispatch threshold of count_points: charsum for p up to here, BSGS above
+# it. Charsum's int64 arrays stay under glibc's 128 KB mmap threshold, so
+# they come from the heap.
 CHARSUM_THRESHOLD = 3_000
 
-# Lanes: points tried per prime before count_bsgs takes over, and the
-# prime cap under which every residue product fits int64.
-LANE_POINTS = 2
+# Lanes serve LANE_PRIME_FLOOR < p < LANE_PRIME_CAP: above Mestre's bound
+# E or its twist has a point whose order alone fixes N_p, and under the
+# cap every residue product fits int64. A lane gets one point, then
+# LANE_POINTS - 1 more in one retry round, before count_bsgs takes over.
+LANE_PRIME_FLOOR = 229
 LANE_PRIME_CAP = 1 << 31
+LANE_POINTS = 5
 
 # Ambiguity budget: random points on the curve, then on its twist.
 BSGS_POINT_BUDGET = 8
@@ -208,18 +210,19 @@ def count_points(model: CurveModel, p: int, seed: int = 0) -> int:
 def count_points_many(model: CurveModel, ps, seed: int = 0) -> list[int]:
     """N_p(E) for each good prime of `ps`, in order; equals count_points.
 
-    p <= 3 is enumerated and p <= CHARSUM_THRESHOLD goes to the character
-    sum. Larger primes run as lanes: each draws a point, on E or on its
-    quadratic twist, and an x-only baby-step/giant-step finds a multiple
-    of its order in the Hasse interval (_lane_orders). A lane still
-    undecided after LANE_POINTS points, or past LANE_PRIME_CAP, is counted
-    by count_bsgs.
+    Primes up to LANE_PRIME_FLOOR go to count_points. Each larger one runs
+    as a lane: it draws a point on E or on its quadratic twist, whose
+    x-only baby-step/giant-step gives a divisor of that group's order
+    (_lane_divisors), until one N in the Hasse interval fits all the
+    divisors found (_unique_order). Lanes the first point leaves open get
+    LANE_POINTS - 1 more, half on each side, in one retry round; count_bsgs
+    takes the rest and any prime past LANE_PRIME_CAP.
     """
     ps = [int(p) for p in ps]
     out = [0] * len(ps)
     big = []
     for i, p in enumerate(ps):
-        if CHARSUM_THRESHOLD < p < LANE_PRIME_CAP and model.disc % p:
+        if LANE_PRIME_FLOOR < p < LANE_PRIME_CAP and model.disc % p:
             big.append(i)
         else:
             out[i] = count_points(model, p, seed=seed)
@@ -231,41 +234,58 @@ def count_points_many(model: CurveModel, ps, seed: int = 0) -> list[int]:
     # the short model y^2 = x^3 + A x + B, isomorphic to E for p >= 5
     c4 = model.b2 * model.b2 - 24 * model.b4
     c6 = -model.b2**3 + 36 * model.b2 * model.b4 - 216 * model.b6
-    A, B = -27 * c4, -54 * c6
-    draws = {}
-    for i in big:
-        rng = random.Random((seed << 24) ^ ps[i])
-        draws[i] = [_draw_x(ps[i], rng, A, B) for _ in range(LANE_POINTS)]
-    for k in range(LANE_POINTS):
-        if not big:
+    xl = _XLine(p, -27 * c4 % p, -54 * c6 % p)
+    s = np.sqrt(4.0 * p).astype(np.int64)  # hasse_bounds, exact after the two corrections
+    s += ((s + 1) * (s + 1) <= 4 * p).astype(np.int64) - (s * s > 4 * p)
+    lo, hi = p + 1 - s, p + 1 + s
+    # known divisors of N_p (dE) and of the twist's order 2p + 2 - N_p (dT)
+    dE, dT, res = np.ones_like(p), np.ones_like(p), np.zeros_like(p)
+    lanes = np.arange(len(p))
+    for k in (np.zeros(1, dtype=np.int64), np.arange(1, 2 * LANE_POINTS - 1)):
+        if not len(lanes):
             break
-        p = np.array([ps[i] for i in big], dtype=np.int64)
-        x0 = np.array([draws[i][k][0] for i in big], dtype=np.int64)
-        twist = np.array([draws[i][k][1] for i in big])
-        orders = _lane_orders(_XLine(p, A % p, B % p), x0, twist).tolist()
-        for i, n in zip(big, orders):
-            out[i] = n
-        big = [i for i, n in zip(big, orders) if n == 0]
-    for i in big:
-        out[i] = count_bsgs(ReducedCurve.reduce(model, ps[i]), seed=seed)
+        idx = np.tile(lanes, len(k))
+        x0, twist = _draw_points(xl.take(idx), seed, np.repeat(k, len(lanes)))
+        # the retry draws twice what it keeps: the first (LANE_POINTS - 1) / 2 on each side
+        tw = twist.reshape(len(k), -1)
+        side_rank = np.where(tw, np.cumsum(tw, axis=0), np.cumsum(~tw, axis=0)).ravel()
+        keep = side_rank <= max(1, (LANE_POINTS - 1) // 2)
+        idx, x0, twist = idx[keep], x0[keep], twist[keep]
+        d = np.maximum(_lane_divisors(xl.take(idx), x0, lo[idx], hi[idx]), 1)
+        np.lcm.at(dE, idx[~twist], d[~twist])
+        np.lcm.at(dT, idx[twist], d[twist])
+        res[lanes] = _unique_order(p[lanes], lo[lanes], hi[lanes], dE[lanes], dT[lanes])
+        lanes = lanes[res[lanes] == 0]
+    for i, n in zip(big, res.tolist()):
+        out[i] = n or count_bsgs(ReducedCurve.reduce(model, ps[i]), seed=seed)
     return out
 
 
-def _draw_x(p: int, rng: random.Random, A: int, B: int) -> tuple[int, bool]:
-    """x0 in [1, p-1] with f(x0) = x0^3 + A x0 + B != 0 mod p, and whether
-    x0 lifts to the quadratic twist (f(x0) a non-residue) rather than to E."""
-    a, b = A % p, B % p
-    while True:
-        x = rng.randrange(1, p)
-        f = (x * x * x + a * x + b) % p
-        if f:
-            return x, pow(f, (p - 1) // 2, p) != 1
+def _draw_points(xl: "_XLine", seed: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point k of each lane: x0 in [1, p-1] with f(x0) = x0^3 + A x0 + B != 0,
+    and whether it lifts to the twist (f(x0) a non-residue) rather than to E.
+    x0 is a splitmix64 hash of a key made of (seed, p, k), stepped by 2^48
+    while f(x0) = 0; uint64 products wrap mod 2^64."""
+    p = xl.p
+    salt = np.full(len(p), seed * 0x9E3779B97F4A7C15 % 2**64, dtype=np.uint64)
+    z = (k.astype(np.uint64) << 32 | p.astype(np.uint64)) ^ salt
+    x0, f = np.zeros_like(p), np.zeros_like(p)
+    redo = np.ones(len(p), dtype=bool)
+    while redo.any():
+        h = z[redo]
+        h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
+        h = (h ^ (h >> 27)) * 0x94D049BB133111EB
+        x0[redo] = x = ((h ^ (h >> 31)) % (p[redo] - 1).astype(np.uint64)).astype(np.int64) + 1
+        f[redo] = ((x * x % p[redo] + xl.A[redo]) * x + xl.B[redo]) % p[redo]
+        z[redo] += 1 << 48
+        redo = f == 0
+    return x0, _powmod(f, (p - 1) // 2, p) != 1
 
 
 def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """b^e mod p, lane-wise."""
-    r = np.ones_like(b)
+    """b^e mod p, lane-wise; b broadcasts against e and p."""
     b = b % p
+    r = np.ones_like(b)
     for i in range(int(e.max()).bit_length()):
         r = np.where((e >> i) & 1 == 1, r * b % p, r)
         b = b * b % p
@@ -274,30 +294,23 @@ def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _is_prime_lanes(n: np.ndarray) -> np.ndarray:
     """Miller-Rabin to the bases 2, 3, 5, 7, lane-wise; exact for 7 < n < 3215031751."""
-    d = n - 1
-    s = np.zeros_like(n)
-    while (even := d & 1 == 0).any():
-        d = np.where(even, d >> 1, d)
-        s += even
-    prime = n & 1 == 1
-    for a in (2, 3, 5, 7):
-        x = _powmod(np.full_like(n, a), d, n)
-        passed = (x == 1) | (x == n - 1)
-        for r in range(1, int(s.max())):
-            x = x * x % n
-            passed |= (x == n - 1) & (r < s)
-        prime &= passed
-    return prime
+    low = (n - 1) & (1 - n)  # the lowest set bit of n - 1 = d * 2^s, d odd
+    d, s = (n - 1) // low, np.log2(low).astype(np.int64)
+    x = _powmod(np.array([[2], [3], [5], [7]], dtype=np.int64), d, n)
+    passed = (x == 1) | (x == n - 1)
+    for r in range(1, int(s.max())):
+        x = x * x % n
+        passed |= (x == n - 1) & (r < s)
+    return (n & 1 == 1) & passed.all(axis=0)
 
 
 class _XLine:
     """x-only arithmetic on y^2 = x^3 + A x + B mod p, one lane per prime.
 
     A point is (X : Z) with x = X/Z, and Z = 0 at infinity. The formulas
-    never use y, so they serve E and its quadratic twist alike. Every
-    product of two residues is reduced before the next sum, so p < 2^31
-    keeps all of it in int64. Arrays broadcast: a (k, L) operand runs k
-    scalars per lane.
+    never use y, so they serve E and its quadratic twist alike. Residues
+    are below p < 2^31, so a product of two, a sum of two products, or a
+    residue times a sum of two residues fits int64 before it is reduced.
     """
 
     def __init__(self, p: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -309,153 +322,129 @@ class _XLine:
         return _XLine(self.p[idx], self.A[idx], self.B[idx])
 
     def dbl(self, X, Z):
+        """x(2P); exact for every P, O and the 2-torsion included."""
         p = self.p
         X2, Z2 = X * X % p, Z * Z % p
-        t = (X2 - self.A * Z2 % p) % p
-        Xn = (t * t % p - self.B8 * (X * Z % p * Z2 % p) % p) % p
-        g = (X2 * X % p + self.A * (X * Z2 % p) % p + self.B * (Z2 * Z % p) % p) % p
-        return Xn, 4 * (Z * g % p) % p
+        AZ2 = self.A * Z2 % p
+        t = X2 - AZ2
+        Xn = (t * t - self.B8 * (X * Z % p * Z2 % p)) % p
+        g = (X * (X2 + AZ2) % p + self.B * (Z2 * Z % p)) % p
+        return Xn, Z * g % p * 4 % p
 
     def add(self, X1, Z1, X2, Z2, XD, ZD):
         """x(P + Q) from x(P), x(Q) and x(P - Q); exact unless x(P - Q) is 0 or infinity."""
         p = self.p
         Z12 = Z1 * Z2 % p
-        u = (X1 * X2 % p - self.A * Z12 % p) % p
+        u = (X1 * X2 - self.A * Z12) % p
         c1, c2 = X1 * Z2 % p, X2 * Z1 % p
-        v = self.B4 * Z12 % p * ((c1 + c2) % p) % p
-        w = (c1 - c2) % p
-        return ZD * ((u * u % p - v) % p) % p, XD * (w * w % p) % p
+        v = self.B4 * Z12 % p * (c1 + c2) % p
+        w = c1 - c2
+        return ZD * ((u * u - v) % p) % p, XD * (w * w % p) % p
 
-    def ladder(self, x: np.ndarray, s: np.ndarray):
-        """(X, Z) of s*P for x(P) = x != 0 and s >= 1, by the Montgomery ladder.
-
-        Exact: every differential addition has P itself as its difference.
-        """
-        one = np.ones_like(x)
+    def ladder(self, X, Z, s: np.ndarray):
+        """(s Q, (s + 1) Q) for Q = (X : Z) and s >= 0 by the Montgomery ladder; exact
+        when Q != O and x(Q) != 0, as every differential addition has difference Q."""
         R0 = (np.ones_like(s), np.zeros_like(s))
-        R1 = (np.broadcast_to(x, s.shape), np.broadcast_to(one, s.shape))
+        R1 = (X, Z)
         for i in range(int(s.max(initial=0)).bit_length() - 1, -1, -1):
             bit = (s >> i) & 1 == 1
-            S = self.add(*R0, *R1, x, one)
+            S = self.add(*R0, *R1, X, Z)
             D = self.dbl(np.where(bit, R1[0], R0[0]), np.where(bit, R1[1], R0[1]))
             R0 = (np.where(bit, S[0], D[0]), np.where(bit, S[1], D[1]))
             R1 = (np.where(bit, D[0], S[0]), np.where(bit, D[1], S[1]))
-        return R0
-
-    def kills(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """s*P = O, lane-wise."""
-        return self.ladder(x, s)[1] == 0
+        return R0, R1
 
 
-def _lane_orders(xl: _XLine, x0: np.ndarray, twist: np.ndarray) -> np.ndarray:
-    """N_p per lane from the point P with x(P) = x0, or 0 where undecided.
+def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per lane, a divisor of the order of the group holding P, x(P) = x0, or 0.
 
-    Baby steps x(iP), i = 1..m, and giant steps x(c_t P) at the centres
-    c_t = lo + m + t(2m + 1) meet where c_t -/+ i kills P. Each candidate
-    in the Hasse interval [lo, hi] is checked with a ladder. A lane is
-    accepted only when a verified multiple reduces to an exact order e
-    of P with no other multiple of e in [lo, hi]; e > hi - lo
-    suffices, and by Mestre's theorem E or its twist has a point of such
-    an order once p > 229. On the twist the multiple is 2p + 2 - N_p.
-    Differential steps past a degenerate point only lose candidates or
-    add false ones, so they can leave a lane undecided but never wrong.
+    Baby steps x(iP), i <= m + 1, meet giant steps x(c_t P) at the centres
+    c_t = (t0 + t)(2m + 1), walked from S = (2m + 1)P, where c_t -/+ i kills
+    P. A lane is clean when no baby step is at infinity, no step has x = 0,
+    S is neither, and the baby x are distinct: then every step is exact,
+    and the c -/+ i found in [lo, hi], with the c_t at infinity, are all
+    the multiples of ord(P) there. A ladder checks c - i; c + i kills when
+    c - i does not, or when iP is 2-torsion. Their gcd is ord(P) for two or
+    more, the group order for one. Dirty lanes give 0.
     """
     p = xl.p
     L = len(p)
     lanes = np.arange(L, dtype=np.int64)
-    bounds = [hasse_bounds(q) for q in p.tolist()]
-    lo = np.array([b[0] for b in bounds], dtype=np.int64)
-    hi = np.array([b[1] for b in bounds], dtype=np.int64)
-    width = hi - lo
-    m = math.isqrt(int(width.max())) + 1
+    wmax = int((hi - lo).max())
+    m = math.isqrt(wmax) + 1
     step = 2 * m + 1
-    T = max(2, (int(width.max()) + step) // step)
+    g = m + 1  # first giant row
+    rows = g + wmax // step + 2  # windows [c_t - m, c_t + m] tile [lo, hi] from c_0 <= lo + m
     one = np.ones_like(x0)
-
-    # baby steps: row i holds (i + 1) P
-    X = np.empty((m + T, L), dtype=np.int64)
-    Z = np.empty((m + T, L), dtype=np.int64)
+    X, Z = np.empty((2, rows, L), dtype=np.int64)
     X[0], Z[0] = x0, one
     X[1], Z[1] = xl.dbl(x0, one)
-    for i in range(2, m):
-        X[i], Z[i] = xl.add(X[i - 1], Z[i - 1], x0, one, X[i - 2], Z[i - 2])
-    # giant steps: row m + t holds c_t P
-    c0 = lo + m
-    GX, GZ = xl.ladder(x0, np.stack([c0, c0 + step, np.full(L, step, dtype=np.int64)]))
-    X[m : m + 2], Z[m : m + 2] = GX[:2], GZ[:2]
-    for t in range(2, T):
-        r = m + t
-        X[r], Z[r] = xl.add(X[r - 1], Z[r - 1], GX[2], GZ[2], X[r - 2], Z[r - 2])
+    for r in range(2, g):
+        X[r], Z[r] = xl.add(X[r - 1], Z[r - 1], x0, one, X[r - 2], Z[r - 2])
+    SX, SZ = xl.add(X[m], Z[m], X[m - 1], Z[m - 1], x0, one)
+    t0 = (lo + m) // step
+    (X[g], Z[g]), (X[g + 1], Z[g + 1]) = xl.ladder(SX, SZ, t0)
+    S2 = xl.dbl(SX, SZ)
+    for r in range(g + 2, rows):
+        Xr, Zr = xl.add(X[r - 1], Z[r - 1], SX, SZ, X[r - 2], Z[r - 2])
+        o = Z[r - 2] == 0  # a difference at infinity: row r - 1 is S, so row r is 2S
+        X[r], Z[r] = np.where(o, S2[0], Xr), np.where(o, S2[1], Zr)
+    at_inf = Z == 0
+    dirty = (SX == 0) | (SZ == 0) | at_inf[:g].any(axis=0) | (X == 0).any(axis=0)
 
     # normalise x = X/Z with one Fermat inverse per lane (simultaneous inversion)
-    at_inf = Z == 0
     Z[at_inf] = 1
     prefix = np.empty_like(Z)
     prefix[0] = Z[0]
-    for r in range(1, m + T):
+    for r in range(1, rows):
         prefix[r] = prefix[r - 1] * Z[r] % p
     inv = _powmod(prefix[-1], p - 2, p)
-    for r in range(m + T - 1, 0, -1):
+    for r in range(rows - 1, 0, -1):
         X[r] = X[r] * (inv * prefix[r - 1] % p) % p
         inv = inv * Z[r] % p
     X[0] = X[0] * inv % p
 
-    # match (lane, x) keys; rows at infinity give junk keys, which the ladder check drops
-    baby = ((lanes << 32) | X[:m]).ravel()
+    # match (lane, x) keys; rows at infinity and dirty lanes are left out
+    baby = ((lanes << 32) | X[:g]).ravel()
     order = np.argsort(baby)
     baby = baby[order]
-    giant = ((lanes << 32) | X[m:]).ravel()
+    dirty[baby[1:][baby[1:] == baby[:-1]] >> 32] = True
+    giant = ((lanes << 32) | X[g:]).ravel()
     pos = np.minimum(np.searchsorted(baby, giant), len(baby) - 1)
-    hit = (baby[pos] == giant) & ~at_inf[m:].ravel()
-    g_lane = np.flatnonzero(hit) % L
-    centre = c0[g_lane] + np.flatnonzero(hit) // L * step
+    hit = np.flatnonzero((baby[pos] == giant) & ~at_inf[g:].ravel() & ~dirty[giant >> 32])
+    lane = hit % L
+    c = (t0[lane] + hit // L) * step
     i = order[pos[hit]] // L + 1
-    zero = np.flatnonzero(at_inf[m:].ravel())
-    cand_lane = np.concatenate([g_lane, g_lane, zero % L])
-    cand = np.concatenate([centre - i, centre + i, c0[zero % L] + zero // L * step])
-    keep = (lo[cand_lane] <= cand) & (cand <= hi[cand_lane])
-    key = np.sort((cand_lane[keep] << 32) | cand[keep])
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    cand_lane, cand = key >> 32, key & 0xFFFFFFFF
-
-    ok = xl.take(cand_lane).kills(x0[cand_lane], cand)
-    cand_lane, cand = cand_lane[ok], cand[ok]
-    e = _exact_orders(xl.take(cand_lane), x0[cand_lane], cand)
-    accept = hi[cand_lane] // e - (lo[cand_lane] - 1) // e == 1
-    cand_lane, cand = cand_lane[accept], cand[accept]
-    out = np.zeros(L, dtype=np.int64)
-    out[cand_lane] = np.where(twist[cand_lane], 2 * p[cand_lane] + 2 - cand, cand)
-    return out
+    xi = X[i - 1, lane]
+    pl = p[lane]
+    minus = xl.take(lane).ladder(x0[lane], one[lane], np.abs(c - i))[0][1] == 0
+    plus = ~minus | (((xi * xi % pl + xl.A[lane]) * xi + xl.B[lane]) % pl == 0)
+    zero = np.flatnonzero(at_inf[g:].ravel())
+    v_lane = np.concatenate([lane[minus], lane[plus], zero % L])
+    v = np.concatenate([(c - i)[minus], (c + i)[plus], (t0[zero % L] + zero // L) * step])
+    keep = (lo[v_lane] <= v) & (v <= hi[v_lane]) & ~dirty[v_lane]
+    d = np.zeros(L, dtype=np.int64)
+    np.gcd.at(d, v_lane[keep], v[keep])
+    return d
 
 
-def _exact_orders(xl: _XLine, x0: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The order of P per lane, given a multiple M of it (M P = O).
-
-    v_q(order) = v_q(M) - a for the largest a with (M / q^a) P = O, so
-    each prime q of M is stripped on its own; all (lane, q) pairs run in
-    one ladder per round.
-    """
-    e = M.copy()
-    rem = M.copy()
-    pair_lane, pair_q = [], []
-    for q in primes_up_to(math.isqrt(int(M.max(initial=0)))):
-        hit = rem % q == 0
-        if not hit.any():
-            continue
-        pair_lane.append(np.flatnonzero(hit))
-        while hit.any():
-            rem[hit] //= q
-            hit = rem % q == 0
-        pair_q.append(np.full(len(pair_lane[-1]), q, dtype=np.int64))
-    last = np.flatnonzero(rem > 1)
-    lane = np.concatenate(pair_lane + [last])
-    q = np.concatenate(pair_q + [rem[last]])
-    s = M[lane] // q
-    live = np.arange(len(lane))
-    while len(live):
-        stripped = xl.take(lane[live]).kills(x0[lane[live]], s[live])
-        live = live[stripped]
-        np.floor_divide.at(e, lane[live], q[live])
-        live = live[s[live] % q[live] == 0]
-        s[live] //= q[live]
-    return e
+def _unique_order(p, lo, hi, dE, dT) -> np.ndarray:
+    """Per lane, the one N in [lo, hi] with dE | N and dT | 2p + 2 - N, or 0
+    where none or several fit. The Hasse interval is symmetric about p + 1,
+    so the side with fewer multiples is listed (at most 64) and the other
+    tested."""
+    cE = hi // dE - (lo - 1) // dE
+    cT = hi // dT - (lo - 1) // dT
+    flip = cT < cE
+    d, other = np.where(flip, dT, dE), np.where(flip, dE, dT)
+    count = np.minimum(cE, cT)
+    count[count > 64] = 0
+    lane = np.repeat(np.arange(len(p)), count)
+    j = np.arange(len(lane)) - np.repeat(np.cumsum(count) - count, count)
+    v = ((lo[lane] - 1) // d[lane] + 1 + j) * d[lane]
+    fits = (2 * p[lane] + 2 - v) % other[lane] == 0
+    lane, v = lane[fits], v[fits]
+    n = np.zeros_like(p)
+    once = np.bincount(lane, minlength=len(p))[lane] == 1
+    n[lane[once]] = np.where(flip[lane[once]], 2 * p[lane[once]] + 2 - v[once], v[once])
+    return n

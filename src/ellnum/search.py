@@ -174,14 +174,14 @@ def _smallest_np_values(model: CurveModel, count: int, table: NpTable | None, se
     key = (model.coefficients, count)
     if key in _SMALLEST_CACHE:
         return _SMALLEST_CACHE[key]
-    bound = 1000
+    lo, bound, vals = 2, 1000, []
     while True:
-        vals = sorted(_np_window(model, 2, bound, table, seed)[1])
+        vals = sorted(vals + _np_window(model, lo, bound, table, seed)[1])
         if len(vals) >= count and hasse_prime_window(vals[count - 1])[1] <= bound:
             picked = tuple(vals[:count])
             _SMALLEST_CACHE[key] = picked
             return picked
-        bound *= 4
+        lo, bound = bound + 1, bound * 4
 
 
 def gk_solutions(

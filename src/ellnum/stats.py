@@ -180,7 +180,8 @@ def standardized_distribution(table: NpTable, x: int, bins: int) -> Distribution
     masses = counts / counts.sum()
     values.sort()
     n = len(values)
-    cdf = np.array([_normal_cdf(v) for v in values.tolist()])
+    distinct, at = np.unique(values, return_inverse=True)
+    cdf = np.array([_normal_cdf(v) for v in distinct.tolist()])[at]
     i = np.arange(n)
     ks = float(max(np.abs((i + 1) / n - cdf).max(), np.abs(i / n - cdf).max()))
     return DistributionReport(

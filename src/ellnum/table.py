@@ -154,14 +154,21 @@ def build_table(
 
 
 def save_table(table: NpTable, path: str | os.PathLike) -> None:
-    """Write the canonical ellnum-v1 text form."""
+    """Write the canonical ellnum-v1 text form through a temporary file next
+    to `path`, so that an interrupted write leaves `path` as it was."""
     a1, a2, a3, a4, a6 = table.curve.coefficients
     lines = [f"{FORMAT_TAG},{a1},{a2},{a3},{a4},{a6},{table.limit}"]
     lines.extend(f"{p},{n}" for p, n in table)
     lines.extend(f"!{b}" for b in table.bad_primes)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_table(path: str | os.PathLike, expect: CurveModel | None = None) -> NpTable:

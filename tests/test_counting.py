@@ -1,12 +1,15 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ellnum import counting, parse_curve
-from ellnum.arith import primes_in_range, primes_up_to
+from ellnum.arith import is_prime, primes_in_range, primes_up_to
 from ellnum.counting import (
     CHARSUM_THRESHOLD,
+    LANE_PRIME_CAP,
     count_bsgs,
     count_charsum,
     count_naive,
@@ -16,6 +19,7 @@ from ellnum.counting import (
 )
 from ellnum.curves import ReducedCurve
 from ellnum.errors import BadReductionError, EllnumError
+from ellnum.table import build_table
 
 # y^2 = x^3 - x: complex multiplication and full 2-torsion, so points of
 # small order are common.
@@ -24,6 +28,13 @@ CM_SPEC = "0,0,0,-1,0"
 
 def good_primes(model, lo, hi):
     return [p for p in primes_in_range(lo, hi) if model.disc % p != 0]
+
+
+def short_model_lanes(model, p):
+    """The lanes' y^2 = x^3 + A x + B, A = -27 c4 and B = -54 c6, at each prime of p."""
+    c4 = model.b2 * model.b2 - 24 * model.b4
+    c6 = -model.b2**3 + 36 * model.b2 * model.b4 - 216 * model.b6
+    return counting._XLine(p, -27 * c4 % p, -54 * c6 % p)
 
 
 class TestNaive:
@@ -135,11 +146,11 @@ class TestLanes:
     """count_points_many against the scalar paths it stands in for."""
 
     @pytest.mark.parametrize("spec", ["0,0,1,-1,0", "0,0,3,-1,2", CM_SPEC])
-    @pytest.mark.parametrize("threshold", [CHARSUM_THRESHOLD, 229])
-    def test_matches_charsum_to_2e4(self, spec, threshold, monkeypatch):
-        # at threshold 229, the bound of Mestre's theorem, the lanes count
-        # every prime above it, where points of small order are commonest
-        monkeypatch.setattr(counting, "CHARSUM_THRESHOLD", threshold)
+    @pytest.mark.parametrize("floor", [CHARSUM_THRESHOLD, 229])
+    def test_matches_charsum_to_2e4(self, spec, floor, monkeypatch):
+        # at the default floor 229, the bound of Mestre's theorem, the lanes
+        # count every prime above it, where points of small order are commonest
+        monkeypatch.setattr(counting, "LANE_PRIME_FLOOR", floor)
         model = parse_curve(spec)
         ps = good_primes(model, 5, 20_000)
         want = [count_charsum(ReducedCurve.reduce(model, p)) for p in ps]
@@ -170,6 +181,56 @@ class TestLanes:
     def test_seed_does_not_change_the_counts(self, curve_a, seed):
         ps = good_primes(curve_a, 50_000, 51_000)
         assert count_points_many(curve_a, ps, seed=seed) == count_points_many(curve_a, ps)
+
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC])
+    def test_draws_are_points_of_the_curve_or_its_twist(self, spec):
+        model = parse_curve(spec)
+        rng = random.Random(2024)
+        # log-uniform over the lane range, plus tiny primes where f(x0) = 0 is often hit
+        starts = [int(math.exp(rng.uniform(math.log(3001), math.log(LANE_PRIME_CAP - 1000)))) for _ in range(150)]
+        ps = [next(q for q in itertools.count(s) if is_prime(q) and model.disc % q) for s in starts]
+        ps += [q for q in range(5, 60) if is_prime(q) and model.disc % q]
+        ps.append(max(q for q in range(LANE_PRIME_CAP - 200, LANE_PRIME_CAP) if is_prime(q)))
+        p = np.array(ps * 4, dtype=np.int64)
+        xl = short_model_lanes(model, p)
+        for seed in (0, 7, -3, 2**70 + 1):
+            x0, twist = counting._draw_points(xl, seed, np.repeat(np.arange(4), len(ps)))
+            for q, A, B, x, tw in zip(p.tolist(), xl.A.tolist(), xl.B.tolist(), x0.tolist(), twist.tolist()):
+                f = (x**3 + A * x + B) % q
+                assert 1 <= x <= q - 1 and f != 0, (q, x)
+                assert tw == (pow(f, (q - 1) // 2, q) != 1), (q, x)
+
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,0,0,0,1"])
+    def test_every_point_gives_a_divisor_of_its_group_order(self, spec):
+        # every x0 of small primes, where points of small order and steps
+        # with x = 0 are common: a lane returns a divisor of N_p or of the
+        # twist's order, or 0
+        model = parse_curve(spec)
+        for q in good_primes(model, 230, 700):
+            xl = short_model_lanes(model, np.full(q - 1, q, dtype=np.int64))
+            x0 = np.arange(1, q, dtype=np.int64)
+            f = ((x0 * x0 % q + xl.A) * x0 + xl.B) % q
+            on = np.flatnonzero(f)
+            lo, hi = hasse_bounds(q)
+            d = counting._lane_divisors(xl.take(on), x0[on], np.full(len(on), lo), np.full(len(on), hi))
+            n = count_charsum(ReducedCurve.reduce(model, q))
+            order = [2 * q + 2 - n if pow(int(v), (q - 1) // 2, q) != 1 else n for v in f[on]]
+            assert d.any()
+            assert all(e == 0 or o % e == 0 for e, o in zip(d.tolist(), order)), q
+
+    def test_rare_scalar_fallbacks_on_the_cm_curve(self, monkeypatch):
+        # 27 primes went to scalar BSGS when each lane tried two points in two rounds
+        calls = []
+        real = counting.count_bsgs
+
+        def spy(rc, seed=0):
+            calls.append(rc.p)
+            return real(rc, seed=seed)
+
+        monkeypatch.setattr(counting, "count_bsgs", spy)
+        table = build_table(parse_curve(CM_SPEC), 20_000)
+        assert table.np_of(19_997) == count_charsum(ReducedCurve.reduce(table.curve, 19_997))
+        assert len(calls) <= 27
 
     def test_rejects_bad_and_composite_inputs(self, curve_a):
         assert count_points_many(curve_a, []) == []

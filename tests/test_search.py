@@ -189,6 +189,22 @@ class TestGkSolutions:
         assert {(101, 107, 251), (113, 127, 167)} <= set(sol.solutions)
         assert sol.count == 25
 
+    def test_smallest_scan_counts_each_prime_once(self, curve_a, monkeypatch):
+        # 200 values outgrow the first bound of 1000, so the scan grows its window
+        monkeypatch.setattr(search, "_SMALLEST_CACHE", {})
+        calls = []
+        real = search.count_points
+
+        def counted(model, p, *args, **kwargs):
+            calls.append(p)
+            return real(model, p, *args, **kwargs)
+
+        monkeypatch.setattr(search, "count_points", counted)
+        picked = search._smallest_np_values(curve_a, 200, None, 0)
+        assert max(calls) > 1000
+        assert calls == [p for p in primes_in_range(2, max(calls)) if curve_a.disc % p]
+        assert picked == tuple(sorted(real(curve_a, p) for p in calls)[:200])
+
     def test_rejects_bad_arguments(self, curve_a):
         with pytest.raises(ValueError):
             gk_solutions(curve_a, 0, 10)

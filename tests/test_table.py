@@ -138,6 +138,37 @@ class TestRoundTrip:
         save_table(t, path)
         assert load_table(path, expect=curve_a) == t
 
+    def test_interrupted_save_keeps_the_old_file(self, curve_a, tmp_path, monkeypatch):
+        import builtins
+
+        import ellnum.table as table_mod
+
+        path = tmp_path / "t.ellnum"
+        save_table(build_table(curve_a, 50), path)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("simulated full disk")
+
+        monkeypatch.setattr(table_mod, "open", lambda *a, **kw: HalfWriter(builtins.open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="simulated full disk"):
+            save_table(build_table(curve_a, 200), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.ellnum"]
+        monkeypatch.undo()
+        assert load_table(path, expect=curve_a) == build_table(curve_a, 50)
+
 
 def _write(tmp_path, lines):
     path = tmp_path / "bad.ellnum"
