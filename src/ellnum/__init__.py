@@ -1,7 +1,7 @@
 """Elliptic-curve point counts, product-equation search, and omega statistics."""
 
 from .arith import FactorSieve, is_prime, loglog, omega, primes_up_to
-from .counting import count_bsgs, count_charsum, count_naive, count_points, count_points_many, hasse_bounds
+from .counting import count_bsgs, count_charsum, count_naive, count_points, hasse_bounds
 from .curves import (
     CurveModel,
     ReducedCurve,

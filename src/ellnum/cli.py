@@ -288,8 +288,7 @@ def cmd_verify_paper(args, model) -> int:
 
     # chained triple-product identities
     for left, right, lf, rf, published in TRIPLE_IDENTITIES:
-        nl = tuple(count_points(curve_a, p, seed=args.seed) for p in left)
-        nr = tuple(count_points(curve_a, p, seed=args.seed) for p in right)
+        nl, nr = (tuple(count_points(curve_a, ps, seed=args.seed)) for ps in (left, right))
         report(f"factors of {left}", nl == lf, f"computed {nl}, reference {lf}")
         report(f"factors of {right}", nr == rf, f"computed {nr}, reference {rf}")
         pl, pr = math.prod(nl), math.prod(nr)

@@ -4,10 +4,9 @@ count_naive enumerates all affine pairs (O(p^2), oracle for tiny p),
 count_charsum sums the quadratic character of the completed square
 (O(p), vectorized), and count_bsgs finds the group order inside the
 Hasse interval via baby-step/giant-step (O(p^(1/4)) group operations).
-count_points dispatches one prime on its size; count_points_many counts
-a batch, running the primes above the charsum range as int64 numpy
-lanes through an x-only baby-step/giant-step. All paths agree wherever
-their domains overlap.
+count_points dispatches one prime on its size, and counts a batch of
+primes as int64 numpy lanes through an x-only baby-step/giant-step.
+All paths agree wherever their domains overlap.
 """
 
 from __future__ import annotations
@@ -35,6 +34,10 @@ CHARSUM_THRESHOLD = 3_000
 LANE_PRIME_FLOOR = 229
 LANE_PRIME_CAP = 1 << 31
 LANE_POINTS = 5
+
+# Lanes run in blocks of at most this many cells, a block's lanes times the
+# step rows of its widest Hasse interval: about 1.6 MB of arrays at the peak.
+LANE_CELLS = 1 << 16
 
 # Ambiguity budget: random points on the curve, then on its twist.
 BSGS_POINT_BUDGET = 8
@@ -74,17 +77,6 @@ def count_charsum(rc: ReducedCurve) -> int:
         raise ValueError(f"count_charsum caps at p <= {CHARSUM_PRIME_CAP}")
     m = rc.model
     c2, c1, c0 = m.b2 % p, (2 * m.b4) % p, m.b6 % p
-    if p < 600:
-        # below numpy's break-even point
-        sq = {x * x % p for x in range(p)}
-        total = 1
-        for x in range(p):
-            g = (4 * x * x * x + c2 * x * x + c1 * x + c0) % p
-            if g == 0:
-                total += 1
-            elif g in sq:
-                total += 2
-        return total
     x = np.arange(p, dtype=np.int64)
     x2 = x * x
     x2 %= p
@@ -194,38 +186,29 @@ def count_bsgs(rc: ReducedCurve, seed: int = 0) -> int:
     )
 
 
-def count_points(model: CurveModel, p: int, seed: int = 0) -> int:
-    """N_p(E) for a good prime p, dispatched by prime size."""
-    rc = ReducedCurve.reduce(model, p)
-    if p <= 3:
-        return count_naive(rc)
-    if p <= CHARSUM_THRESHOLD:
-        return count_charsum(rc)
-    return count_bsgs(rc, seed=seed)
+def count_points(model: CurveModel, p, seed: int = 0) -> int | list[int]:
+    """N_p(E) for a good prime p, dispatched by prime size; for a sequence
+    of good primes, the list of their N_p in order, counted in lanes.
 
-
-# --- batched counting: one int64 numpy lane per prime ------------------------
-
-
-def count_points_many(model: CurveModel, ps, seed: int = 0) -> list[int]:
-    """N_p(E) for each good prime of `ps`, in order; equals count_points.
-
-    Primes up to LANE_PRIME_FLOOR go to count_points. Each larger one runs
-    as a lane: it draws a point on E or on its quadratic twist, whose
-    x-only baby-step/giant-step gives a divisor of that group's order
-    (_lane_divisors), until one N in the Hasse interval fits all the
-    divisors found (_unique_order). Lanes the first point leaves open get
-    LANE_POINTS - 1 more, half on each side, in one retry round; count_bsgs
-    takes the rest and any prime past LANE_PRIME_CAP.
+    In a batch, primes up to LANE_PRIME_FLOOR are counted one by one. Each
+    larger one runs as a lane: it draws a point on E or on its quadratic
+    twist, whose x-only baby-step/giant-step gives a divisor of that
+    group's order (_lane_divisors), until one N in the Hasse interval fits
+    all the divisors found (_unique_order). Lanes the first point leaves
+    open get LANE_POINTS - 1 more, half on each side, in one retry round;
+    count_bsgs takes the rest and any prime past LANE_PRIME_CAP.
     """
-    ps = [int(p) for p in ps]
-    out = [0] * len(ps)
-    big = []
-    for i, p in enumerate(ps):
-        if LANE_PRIME_FLOOR < p < LANE_PRIME_CAP and model.disc % p:
-            big.append(i)
-        else:
-            out[i] = count_points(model, p, seed=seed)
+    if isinstance(p, (int, np.integer)):
+        rc = ReducedCurve.reduce(model, int(p))
+        if rc.p <= 3:
+            return count_naive(rc)
+        if rc.p <= CHARSUM_THRESHOLD:
+            return count_charsum(rc)
+        return count_bsgs(rc, seed=seed)
+    ps = [int(q) for q in p]
+    in_lanes = [LANE_PRIME_FLOOR < q < LANE_PRIME_CAP and model.disc % q != 0 for q in ps]
+    out = [0 if on else count_points(model, q, seed=seed) for q, on in zip(ps, in_lanes)]
+    big = [i for i, on in enumerate(in_lanes) if on]
     if not big:
         return out
     p = np.array([ps[i] for i in big], dtype=np.int64)
@@ -238,6 +221,7 @@ def count_points_many(model: CurveModel, ps, seed: int = 0) -> list[int]:
     s = np.sqrt(4.0 * p).astype(np.int64)  # hasse_bounds, exact after the two corrections
     s += ((s + 1) * (s + 1) <= 4 * p).astype(np.int64) - (s * s > 4 * p)
     lo, hi = p + 1 - s, p + 1 + s
+    block = LANE_CELLS // _layout(int((hi - lo).max()))[3]  # lanes per block, at the widest step rows
     # known divisors of N_p (dE) and of the twist's order 2p + 2 - N_p (dT)
     dE, dT, res = np.ones_like(p), np.ones_like(p), np.zeros_like(p)
     lanes = np.arange(len(p))
@@ -251,7 +235,9 @@ def count_points_many(model: CurveModel, ps, seed: int = 0) -> list[int]:
         side_rank = np.where(tw, np.cumsum(tw, axis=0), np.cumsum(~tw, axis=0)).ravel()
         keep = side_rank <= max(1, (LANE_POINTS - 1) // 2)
         idx, x0, twist = idx[keep], x0[keep], twist[keep]
-        d = np.maximum(_lane_divisors(xl.take(idx), x0, lo[idx], hi[idx]), 1)
+        blocks = np.split(np.arange(len(idx)), list(range(block, len(idx), block)))
+        d = np.concatenate([_lane_divisors(xl.take(idx[j]), x0[j], lo[idx[j]], hi[idx[j]]) for j in blocks])
+        d = np.maximum(d, 1)
         np.lcm.at(dE, idx[~twist], d[~twist])
         np.lcm.at(dT, idx[twist], d[twist])
         res[lanes] = _unique_order(p[lanes], lo[lanes], hi[lanes], dE[lanes], dT[lanes])
@@ -290,6 +276,24 @@ def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
         r = np.where((e >> i) & 1 == 1, r * b % p, r)
         b = b * b % p
     return r
+
+
+def _invert_rows(Z: np.ndarray, p: np.ndarray) -> None:
+    """Z becomes Z^-1 mod p, row by row, with one Fermat inversion per lane:
+    rows i and i + h multiply into row i + h, whose inverse times one of
+    them is the inverse of the other."""
+    if len(Z) == 1:
+        Z[:] = _powmod(Z, p - 2, p)
+        return
+    h = len(Z) // 2
+    C = Z[h : 2 * h].copy()
+    Z[h : 2 * h] *= Z[:h]
+    Z[h : 2 * h] %= p
+    _invert_rows(Z[h:], p)
+    C *= Z[h : 2 * h]
+    Z[h : 2 * h] *= Z[:h]
+    np.remainder(C, p, out=Z[:h])
+    Z[h:] %= p
 
 
 def _is_prime_lanes(n: np.ndarray) -> np.ndarray:
@@ -355,6 +359,14 @@ class _XLine:
         return R0, R1
 
 
+def _layout(w: int) -> tuple[int, int, int, int]:
+    """(m, step, g, rows) of _lane_divisors for the Hasse width w: baby rows
+    0..m, then giant rows from g = m + 1 whose windows [c_t - m, c_t + m],
+    step = 2m + 1 apart, tile [lo, hi] from c_0 <= lo + m."""
+    m = math.isqrt(w) + 1
+    return m, 2 * m + 1, m + 1, m + 1 + w // (2 * m + 1) + 2
+
+
 def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per lane, a divisor of the order of the group holding P, x(P) = x0, or 0.
 
@@ -365,22 +377,22 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     and the c -/+ i found in [lo, hi], with the c_t at infinity, are all
     the multiples of ord(P) there. A ladder checks c - i; c + i kills when
     c - i does not, or when iP is 2-torsion. Their gcd is ord(P) for two or
-    more, the group order for one. Dirty lanes give 0.
+    more, the group order for one. Dirty lanes give 0. Baby steps double,
+    so the first degenerate one is exact; keys need lanes * rows < 2^31.
     """
     p = xl.p
     L = len(p)
-    lanes = np.arange(L, dtype=np.int64)
-    wmax = int((hi - lo).max())
-    m = math.isqrt(wmax) + 1
-    step = 2 * m + 1
-    g = m + 1  # first giant row
-    rows = g + wmax // step + 2  # windows [c_t - m, c_t + m] tile [lo, hi] from c_0 <= lo + m
+    m, step, g, rows = _layout(int((hi - lo).max()))
     one = np.ones_like(x0)
-    X, Z = np.empty((2, rows, L), dtype=np.int64)
+    X, Z = np.empty((rows, L), dtype=np.int64), np.empty((rows, L), dtype=np.int64)
     X[0], Z[0] = x0, one
     X[1], Z[1] = xl.dbl(x0, one)
-    for r in range(2, g):
-        X[r], Z[r] = xl.add(X[r - 1], Z[r - 1], x0, one, X[r - 2], Z[r - 2])
+    k = 2
+    while k < g:  # rows 0..k-1 hold x(P)..x(kP); (k + j)P = kP + jP, with difference (k - j)P
+        n = min(k - 1, g - k, 16)  # at most 16 rows a stage keeps the temporaries small
+        D = slice(k - 1 - n, k - 1)
+        X[k : k + n], Z[k : k + n] = xl.add(X[k - 1], Z[k - 1], X[:n], Z[:n], X[D][::-1], Z[D][::-1])
+        k += n
     SX, SZ = xl.add(X[m], Z[m], X[m - 1], Z[m - 1], x0, one)
     t0 = (lo + m) // step
     (X[g], Z[g]), (X[g + 1], Z[g + 1]) = xl.ladder(SX, SZ, t0)
@@ -392,33 +404,34 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     at_inf = Z == 0
     dirty = (SX == 0) | (SZ == 0) | at_inf[:g].any(axis=0) | (X == 0).any(axis=0)
 
-    # normalise x = X/Z with one Fermat inverse per lane (simultaneous inversion)
-    Z[at_inf] = 1
-    prefix = np.empty_like(Z)
-    prefix[0] = Z[0]
-    for r in range(1, rows):
-        prefix[r] = prefix[r - 1] * Z[r] % p
-    inv = _powmod(prefix[-1], p - 2, p)
-    for r in range(rows - 1, 0, -1):
-        X[r] = X[r] * (inv * prefix[r - 1] % p) % p
-        inv = inv * Z[r] % p
-    X[0] = X[0] * inv % p
+    Z[at_inf] = 1  # x = X/Z, normalised
+    _invert_rows(Z, p)
+    X *= Z
+    X %= p
+    del Z
 
-    # match (lane, x) keys; rows at infinity and dirty lanes are left out
-    baby = ((lanes << 32) | X[:g]).ravel()
-    order = np.argsort(baby)
-    baby = baby[order]
-    dirty[baby[1:][baby[1:] == baby[:-1]] >> 32] = True
-    giant = ((lanes << 32) | X[g:]).ravel()
-    pos = np.minimum(np.searchsorted(baby, giant), len(baby) - 1)
-    hit = np.flatnonzero((baby[pos] == giant) & ~at_inf[g:].ravel() & ~dirty[giant >> 32])
-    lane = hit % L
-    c = (t0[lane] + hit // L) * step
-    i = order[pos[hit]] // L + 1
-    xi = X[i - 1, lane]
-    pl = p[lane]
+    # one sort of (lane, x, row) keys: a run of equal (lane, x) lists its baby
+    # rows first, and a giant row matches when its run starts with a baby row
+    rbits = (rows - 1).bit_length()
+    X |= np.arange(L) << 31
+    X <<= rbits
+    X |= np.arange(rows)[:, None]
+    lx = X.ravel()
+    lx.sort()
+    row = (lx & ((1 << rbits) - 1)).astype(np.int16)
+    lx >>= rbits
+    new = np.r_[True, lx[1:] != lx[:-1]]
+    first = np.arange(len(lx))  # the index of each key's run start, then its row
+    first[~new] = 0
+    first = row[np.maximum.accumulate(first, out=first)]
+    dirty[lx[~new & (row < g)] >> 31] = True  # two baby rows share an x
+    hit = np.flatnonzero((first < g) & (row >= g))
+    # rows at infinity and dirty lanes are left out
+    hit = hit[~at_inf[row[hit], lx[hit] >> 31] & ~dirty[lx[hit] >> 31]]
+    lane, t, i, xi = lx[hit] >> 31, row[hit] - g, first[hit] + 1, lx[hit] & 0x7FFFFFFF
+    c = (t0[lane] + t) * step
     minus = xl.take(lane).ladder(x0[lane], one[lane], np.abs(c - i))[0][1] == 0
-    plus = ~minus | (((xi * xi % pl + xl.A[lane]) * xi + xl.B[lane]) % pl == 0)
+    plus = ~minus | (((xi * xi % p[lane] + xl.A[lane]) * xi + xl.B[lane]) % p[lane] == 0)
     zero = np.flatnonzero(at_inf[g:].ravel())
     v_lane = np.concatenate([lane[minus], lane[plus], zero % L])
     v = np.concatenate([(c - i)[minus], (c + i)[plus], (t0[zero % L] + zero // L) * step])

@@ -106,8 +106,8 @@ def _np_window(
 ) -> tuple[list[int], list[int]]:
     """Good primes in [lo, hi] with their N_p, ascending.
 
-    A table for the same curve serves the primes up to its limit; each
-    good prime above the limit is counted once.
+    A table for the same curve serves the primes up to its limit; the
+    good primes above the limit are counted once, as one batch of lanes.
     """
     ps: list[int] = []
     nps: list[int] = []
@@ -116,11 +116,9 @@ def _np_window(
         j = int(np.searchsorted(table.ps, hi, side="right"))
         ps, nps = table.ps[i:j].tolist(), table.nps[i:j].tolist()
         lo = max(lo, table.limit + 1)
-    for p in primes_in_range(lo, hi):
-        if model.disc % p:
-            ps.append(p)
-            nps.append(count_points(model, p, seed=seed))
-    return ps, nps
+    good = tuple(p for p in primes_in_range(lo, hi) if model.disc % p)
+    # one batch through the module attribute, as a tuple: traced runs keep (curve, primes) in a set
+    return ps + list(good), nps + (count_points(model, good, seed=seed) if good else [])
 
 
 def g1(model: CurveModel, n: int, table: NpTable | None = None, seed: int = 0) -> ProgressionRecord:

@@ -9,12 +9,13 @@ The format is canonical, so identical tables serialize to identical bytes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from itertools import repeat
 
 import numpy as np
 
 from .arith import primes_up_to
-from .counting import count_points, count_points_many  # noqa: F401 (perfbench wraps table.count_points)
+from .counting import count_points
 from .curves import CurveModel
 from .errors import (
     TableBuildError,
@@ -102,8 +103,7 @@ class NpTable:
 
 
 def _count_chunk(coeffs, primes, seed):
-    model = CurveModel.from_coefficients(*coeffs)
-    return list(zip(primes, count_points_many(model, primes, seed=seed)))
+    return count_points(CurveModel.from_coefficients(*coeffs), primes, seed=seed)
 
 
 def build_table(
@@ -115,40 +115,30 @@ def build_table(
     """Compute N_p for every good prime <= limit.
 
     Work is split into contiguous chunks of ~1000 primes, each counted as
-    one batch by count_points_many; results are merged in prime order, so
+    one batch by count_points; results are merged in prime order, so
     the table is identical for any worker count.
     """
     primes = primes_up_to(limit)
     good = [p for p in primes if model.disc % p != 0]
     bad = [p for p in primes if model.disc % p == 0]
     chunks = [good[i : i + CHUNK_PRIMES] for i in range(0, len(good), CHUNK_PRIMES)]
-    results: list[list[tuple[int, int]]] = []
-    if workers <= 1 or len(chunks) <= 1:
-        for i, chunk in enumerate(chunks):
-            try:
-                results.append(_count_chunk(model.coefficients, chunk, seed))
-            except Exception as exc:
-                done_to = results[-1][-1][0] if results else 0
-                raise TableBuildError(
-                    f"table build failed in chunk {i} (completed through p={done_to}): {exc}"
-                ) from exc
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_count_chunk, model.coefficients, chunk, seed)
-                for chunk in chunks
-            ]
-            for i, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    done_to = results[-1][-1][0] if results else 0
-                    raise TableBuildError(
-                        f"table build failed in chunk {i} (completed through p={done_to}): {exc}"
-                    ) from exc
-    ps = [p for chunk in results for (p, _) in chunk]
-    nps = [n for chunk in results for (_, n) in chunk]
-    table = NpTable(model, limit, ps, nps, bad)
+    jobs = (repeat(model.coefficients), chunks, repeat(seed))
+    results: list[list[int]] = []
+    with ExitStack() as stack:
+        if workers <= 1 or len(chunks) <= 1:
+            counted = map(_count_chunk, *jobs)
+        else:
+            from concurrent.futures import ProcessPoolExecutor  # imported on use: it costs ~2 MB
+            counted = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(_count_chunk, *jobs)
+        try:
+            for chunk in counted:
+                results.append(chunk)
+        except Exception as exc:
+            done_to = chunks[len(results) - 1][-1] if results else 0
+            raise TableBuildError(
+                f"table build failed in chunk {len(results)} (completed through p={done_to}): {exc}"
+            ) from exc
+    table = NpTable(model, limit, good, [n for chunk in results for n in chunk], bad)
     table.validate()
     return table
 

@@ -9,16 +9,18 @@ from ellnum import counting, parse_curve
 from ellnum.arith import is_prime, primes_in_range, primes_up_to
 from ellnum.counting import (
     CHARSUM_THRESHOLD,
+    LANE_CELLS,
     LANE_PRIME_CAP,
+    LANE_PRIME_FLOOR,
     count_bsgs,
     count_charsum,
     count_naive,
     count_points,
-    count_points_many,
     hasse_bounds,
 )
 from ellnum.curves import ReducedCurve
 from ellnum.errors import BadReductionError, EllnumError
+from ellnum.search import g1, hasse_prime_window
 from ellnum.table import build_table
 
 # y^2 = x^3 - x: complex multiplication and full 2-torsion, so points of
@@ -35,6 +37,21 @@ def short_model_lanes(model, p):
     c4 = model.b2 * model.b2 - 24 * model.b4
     c6 = -model.b2**3 + 36 * model.b2 * model.b4 - 216 * model.b6
     return counting._XLine(p, -27 * c4 % p, -54 * c6 % p)
+
+
+def spy_lane_blocks(monkeypatch):
+    """(lanes, step rows) of every _lane_divisors call, rows laid out as it does."""
+    blocks = []
+    real = counting._lane_divisors
+
+    def spy(xl, x0, lo, hi):
+        w = int((hi - lo).max())
+        m = math.isqrt(w) + 1
+        blocks.append((len(x0), m + 1 + w // (2 * m + 1) + 2))
+        return real(xl, x0, lo, hi)
+
+    monkeypatch.setattr(counting, "_lane_divisors", spy)
+    return blocks
 
 
 class TestNaive:
@@ -76,7 +93,7 @@ class TestCharsum:
                 assert count_charsum(rc) == count_naive(rc), f"p={p}"
 
     def test_numpy_and_python_paths_agree(self, curve_a):
-        # the implementation switches to vectorized evaluation around p ~ 600
+        # charsum against the naive count, above the range of test_matches_naive_up_to_200
         for p in good_primes(curve_a, 550, 650):
             rc = ReducedCurve.reduce(curve_a, p)
             assert count_charsum(rc) == count_naive(rc)
@@ -132,6 +149,10 @@ class TestDispatcher:
             count_points(curve_a, 37)
         assert "37" in str(exc.value)
 
+    def test_numpy_integer_is_one_prime(self, curve_a):
+        n = count_points(curve_a, np.int64(100_003))
+        assert type(n) is int and n == count_points(curve_a, 100_003)
+
     def test_threshold_routes_to_bsgs(self, curve_a):
         rc = ReducedCurve.reduce(curve_a, 1009)
         assert count_bsgs(rc) == count_charsum(rc) == 1057
@@ -143,7 +164,7 @@ class TestDispatcher:
 
 
 class TestLanes:
-    """count_points_many against the scalar paths it stands in for."""
+    """count_points on a batch against the scalar paths it stands in for."""
 
     @pytest.mark.parametrize("spec", ["0,0,1,-1,0", "0,0,3,-1,2", CM_SPEC])
     @pytest.mark.parametrize("floor", [CHARSUM_THRESHOLD, 229])
@@ -156,7 +177,7 @@ class TestLanes:
         want = [count_charsum(ReducedCurve.reduce(model, p)) for p in ps]
         got = []
         for i in range(0, len(ps), 1000):
-            got += count_points_many(model, ps[i : i + 1000])
+            got += count_points(model, ps[i : i + 1000])
         assert got == want
 
     @pytest.mark.parametrize("size", [1_000_000, 10_000_000])
@@ -165,22 +186,22 @@ class TestLanes:
         for model in (curve_a, curve_b):
             ps = sorted(rng.sample(good_primes(model, size, size + 20_000), 25))
             want = [count_bsgs(ReducedCurve.reduce(model, p)) for p in ps]
-            assert count_points_many(model, ps) == want
+            assert count_points(model, ps) == want
 
     def test_batch_split_and_order_do_not_matter(self, curve_a):
         ps = good_primes(curve_a, 2, 60) + good_primes(curve_a, 2900, 3400) + good_primes(curve_a, 99_000, 99_400)
-        whole = count_points_many(curve_a, ps)
+        whole = count_points(curve_a, ps)
         assert whole == [count_points(curve_a, p) for p in ps]
         shuffled = ps[:]
         random.Random(7).shuffle(shuffled)
-        by_p = dict(zip(shuffled, count_points_many(curve_a, shuffled)))
+        by_p = dict(zip(shuffled, count_points(curve_a, shuffled)))
         assert [by_p[p] for p in ps] == whole
-        assert [count_points_many(curve_a, [p])[0] for p in ps] == whole
+        assert [count_points(curve_a, [p])[0] for p in ps] == whole
 
     @pytest.mark.parametrize("seed", [1, 12345])
     def test_seed_does_not_change_the_counts(self, curve_a, seed):
         ps = good_primes(curve_a, 50_000, 51_000)
-        assert count_points_many(curve_a, ps, seed=seed) == count_points_many(curve_a, ps)
+        assert count_points(curve_a, ps, seed=seed) == count_points(curve_a, ps)
 
     @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC])
     def test_draws_are_points_of_the_curve_or_its_twist(self, spec):
@@ -218,6 +239,28 @@ class TestLanes:
             assert d.any()
             assert all(e == 0 or o % e == 0 for e, o in zip(d.tolist(), order)), q
 
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,0,0,0,1"])
+    def test_repeated_baby_steps_dirty_the_lane(self, spec):
+        # a point of order m + 2 .. 2m meets no baby step at infinity, but
+        # iP = -jP for two baby steps i != j, i + j its order: such a lane gives 0
+        model = parse_curve(spec)
+        seen = 0
+        for q in good_primes(model, 230, 400):
+            xl = short_model_lanes(model, np.full(q - 1, q, dtype=np.int64))
+            x0 = np.arange(1, q, dtype=np.int64)
+            on = np.flatnonzero(((x0 * x0 % q + xl.A) * x0 + xl.B) % q)
+            xl, x0 = xl.take(on), x0[on]
+            lo, hi = hasse_bounds(q)
+            m = math.isqrt(hi - lo) + 1
+            order = np.zeros_like(x0)
+            for k in range(2 * m, 0, -1):  # the least k <= 2m with kP at infinity
+                order[xl.ladder(x0, np.ones_like(x0), np.full_like(x0, k))[0][1] == 0] = k
+            repeats = order >= m + 2
+            d = counting._lane_divisors(xl, x0, np.full_like(x0, lo), np.full_like(x0, hi))
+            assert not d[repeats].any(), q
+            seen += int(repeats.sum())
+        assert seen > 100
+
     def test_rare_scalar_fallbacks_on_the_cm_curve(self, monkeypatch):
         # 27 primes went to scalar BSGS when each lane tried two points in two rounds
         calls = []
@@ -232,12 +275,46 @@ class TestLanes:
         assert table.np_of(19_997) == count_charsum(ReducedCurve.reduce(table.curve, 19_997))
         assert len(calls) <= 27
 
+    @pytest.mark.parametrize("size", [1_000_000, 10_000_000, 57_000_000])
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,-1,1,-10,-20"])
+    def test_batch_equals_scalar_dispatch(self, spec, size):
+        model = parse_curve(spec)
+        ps = good_primes(model, size, size + 400)
+        assert len(ps) >= 15
+        assert count_points(model, ps) == [count_points(model, p) for p in ps]
+
+    def test_batch_across_the_lane_floor(self, curve_a):
+        ps = good_primes(curve_a, 2, 600)
+        assert ps[0] < LANE_PRIME_FLOOR < ps[-1]
+        assert count_points(curve_a, ps) == [count_points(curve_a, p) for p in ps]
+
+    def test_batch_across_lane_blocks(self, curve_a, monkeypatch):
+        blocks = spy_lane_blocks(monkeypatch)
+        ps = good_primes(curve_a, 57_000_000, 57_006_000)
+        got = count_points(curve_a, ps)
+        assert blocks[0][0] < len(ps) < 2 * blocks[0][0]  # the first round runs in two blocks
+        assert got == [count_points(curve_a, p) for p in ps]
+
+    def test_blocks_stay_within_lane_cells(self, curve_a, monkeypatch):
+        blocks = spy_lane_blocks(monkeypatch)
+        g1(curve_a, 57_000_000)
+        assert all(lanes * rows <= LANE_CELLS for lanes, rows in blocks)
+        assert blocks[0] == (LANE_CELLS // 263, 263)
+        assert sum(lanes for lanes, _ in blocks) >= len(good_primes(curve_a, *hasse_prime_window(57_000_000)))
+
+    def test_table_chunk_is_one_block(self, curve_a, monkeypatch):
+        # 1000 lanes of 58 rows: each round of a chunk below 1.15e5 is one call
+        blocks = spy_lane_blocks(monkeypatch)
+        count_points(curve_a, good_primes(curve_a, 2, 115_000)[-1000:])
+        assert blocks[0] == (1000, 58)
+        assert len(blocks) <= 2
+
     def test_rejects_bad_and_composite_inputs(self, curve_a):
-        assert count_points_many(curve_a, []) == []
+        assert count_points(curve_a, []) == []
         with pytest.raises(BadReductionError):
-            count_points_many(curve_a, [5, 37])
+            count_points(curve_a, [5, 37])
         with pytest.raises(ValueError):
-            count_points_many(curve_a, [100_003, 100_001])  # 100001 = 11 * 9091
+            count_points(curve_a, [100_003, 100_001])  # 100001 = 11 * 9091
 
 
 class TestHasseInvariants:

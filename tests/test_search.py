@@ -110,14 +110,32 @@ class TestFindProgressions:
         calls = []
         real = search.count_points
 
-        def counted(model, p, *args, **kwargs):
-            calls.append(p)
-            return real(model, p, *args, **kwargs)
+        def counted(model, ps, *args, **kwargs):
+            calls.extend(ps)
+            return real(model, ps, *args, **kwargs)
 
         monkeypatch.setattr(search, "count_points", counted)
         find_progressions(curve_b, 10262, 11441, 2)
         lo, hi = hasse_prime_window(10262)[0], hasse_prime_window(11441)[1]
         assert calls == [p for p in primes_in_range(lo, hi) if curve_b.disc % p]
+
+    def test_window_is_one_hashable_batch(self, curve_a, monkeypatch):
+        # a traced run wraps search.count_points, records (coefficients, args[1])
+        # and divides the records by the distinct ones, taken as a set
+        records = []
+        real = search.count_points
+
+        def traced(*args, **kwargs):
+            records.append((args[0].coefficients, args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "count_points", traced)
+        find_progressions(curve_a, 10**6, 10**6 + 500)
+        assert records
+        assert len(set(records)) == len(records)
+        lo, hi = hasse_prime_window(10**6)[0], hasse_prime_window(10**6 + 500)[1]
+        flat = [p for _, ps in records for p in ps]
+        assert flat == [p for p in primes_in_range(lo, hi) if curve_a.disc % p]
 
     def test_matches_g1_across_table_limit(self, curve_a, table_a5k):
         # the union window [4763, 5242] runs past the table's limit of 5000,
@@ -179,9 +197,9 @@ class TestGkSolutions:
         calls = []
         real = search.count_points
 
-        def counted(model, p, *args, **kwargs):
-            calls.append(p)
-            return real(model, p, *args, **kwargs)
+        def counted(model, ps, *args, **kwargs):
+            calls.extend(ps)
+            return real(model, ps, *args, **kwargs)
 
         monkeypatch.setattr(search, "count_points", counted)
         sol = gk_solutions(curve_a, 3, 3017520)
@@ -195,9 +213,9 @@ class TestGkSolutions:
         calls = []
         real = search.count_points
 
-        def counted(model, p, *args, **kwargs):
-            calls.append(p)
-            return real(model, p, *args, **kwargs)
+        def counted(model, ps, *args, **kwargs):
+            calls.extend(ps)
+            return real(model, ps, *args, **kwargs)
 
         monkeypatch.setattr(search, "count_points", counted)
         picked = search._smallest_np_values(curve_a, 200, None, 0)
