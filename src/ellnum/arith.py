@@ -9,7 +9,6 @@ pipeline reads omega(N_p) from it, and the per-value omega is its reference.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -61,14 +60,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if hi < 2 or hi < lo:
         return []
     lo = max(lo, 2)
-    if hi <= 1 << 20:
-        ps = primes_up_to(hi)
-        return ps[bisect_left(ps, lo) :]
     sieve = np.ones(hi - lo + 1, dtype=bool)
     for q in primes_up_to(math.isqrt(hi)):
         start = max(q * q, (lo + q - 1) // q * q)
         sieve[start - lo :: q] = False
-    return [int(i) + lo for i in np.flatnonzero(sieve)]
+    return (np.flatnonzero(sieve) + lo).tolist()
 
 
 class FactorSieve:

@@ -186,7 +186,7 @@ def count_bsgs(rc: ReducedCurve, seed: int = 0) -> int:
     )
 
 
-def count_points(model: CurveModel, p, seed: int = 0) -> int | list[int]:
+def count_points(model: CurveModel, p, seed: int = 0, within: tuple[int, int] | None = None) -> int | list[int]:
     """N_p(E) for a good prime p, dispatched by prime size; for a sequence
     of good primes, the list of their N_p in order, counted in lanes.
 
@@ -197,6 +197,17 @@ def count_points(model: CurveModel, p, seed: int = 0) -> int | list[int]:
     all the divisors found (_unique_order). Lanes the first point leaves
     open get LANE_POINTS - 1 more, half on each side, in one retry round;
     count_bsgs takes the rest and any prime past LANE_PRIME_CAP.
+
+    With within = (a, b), a batch gives N_p where a <= N_p <= b and 0
+    elsewhere (N_p >= 1, so 0 is no count). The first point then looks
+    only where N_p may lie: [a, b] on E, [2p + 2 - b, 2p + 2 - a] on the
+    twist, cut to the Hasse interval (unless that keeps over half of it).
+    By Lagrange's theorem a clean lane that finds no multiple of ord(P)
+    there, or whose cut is empty, has N_p outside and is done. A lane with
+    a hit, or a dirty one, runs that point again over its whole Hasse
+    interval, in the blocks of the retry round, as a multiple found in a
+    cut need not be the group order; from there it takes the same points
+    as without a range.
     """
     if isinstance(p, (int, np.integer)):
         rc = ReducedCurve.reduce(model, int(p))
@@ -209,9 +220,16 @@ def count_points(model: CurveModel, p, seed: int = 0) -> int | list[int]:
     in_lanes = [LANE_PRIME_FLOOR < q < LANE_PRIME_CAP and model.disc % q != 0 for q in ps]
     out = [0 if on else count_points(model, q, seed=seed) for q, on in zip(ps, in_lanes)]
     big = [i for i, on in enumerate(in_lanes) if on]
-    if not big:
-        return out
-    p = np.array([ps[i] for i in big], dtype=np.int64)
+    if big:
+        for i, n in zip(big, _lane_counts(model, np.array([ps[i] for i in big], dtype=np.int64), seed, within)):
+            out[i] = n
+    if within:
+        out = [n if within[0] <= n <= within[1] else 0 for n in out]
+    return out
+
+
+def _lane_counts(model: CurveModel, p: np.ndarray, seed: int, within: tuple[int, int] | None) -> list[int]:
+    """N_p of each lane prime, or 0 where the first point puts N_p outside within."""
     for q in p[~_is_prime_lanes(p)].tolist():
         ReducedCurve.reduce(model, q)  # raises: q is not prime
     # the short model y^2 = x^3 + A x + B, isomorphic to E for p >= 5
@@ -221,30 +239,54 @@ def count_points(model: CurveModel, p, seed: int = 0) -> int | list[int]:
     s = np.sqrt(4.0 * p).astype(np.int64)  # hasse_bounds, exact after the two corrections
     s += ((s + 1) * (s + 1) <= 4 * p).astype(np.int64) - (s * s > 4 * p)
     lo, hi = p + 1 - s, p + 1 + s
-    block = LANE_CELLS // _layout(int((hi - lo).max()))[3]  # lanes per block, at the widest step rows
     # known divisors of N_p (dE) and of the twist's order 2p + 2 - N_p (dT)
     dE, dT, res = np.ones_like(p), np.ones_like(p), np.zeros_like(p)
+    outside = np.zeros(len(p), dtype=bool)
+    # a lane's next step: 0 its first point on the cut, 1 that point on the whole
+    # Hasse interval, 2 the retry round's points, 3 none left
+    stage = np.full(len(p), 0 if within else 1)
+    retry = np.arange(1, 2 * LANE_POINTS - 1)
     lanes = np.arange(len(p))
-    for k in (np.zeros(1, dtype=np.int64), np.arange(1, 2 * LANE_POINTS - 1)):
-        if not len(lanes):
-            break
-        idx = np.tile(lanes, len(k))
-        x0, twist = _draw_points(xl.take(idx), seed, np.repeat(k, len(lanes)))
+    while len(lanes):
+        first, again = lanes[stage[lanes] < 2], lanes[stage[lanes] == 2]
+        idx = np.concatenate([first, np.tile(again, len(retry))])
+        k = np.concatenate([np.zeros_like(first), np.repeat(retry, len(again))])
+        x0, twist = _draw_points(xl.take(idx), seed, k)
         # the retry draws twice what it keeps: the first (LANE_POINTS - 1) / 2 on each side
-        tw = twist.reshape(len(k), -1)
+        tw = twist[len(first) :].reshape(len(retry), -1)
         side_rank = np.where(tw, np.cumsum(tw, axis=0), np.cumsum(~tw, axis=0)).ravel()
-        keep = side_rank <= max(1, (LANE_POINTS - 1) // 2)
+        keep = np.r_[np.ones(len(first), dtype=bool), side_rank <= (LANE_POINTS - 1) // 2]
         idx, x0, twist = idx[keep], x0[keep], twist[keep]
-        blocks = np.split(np.arange(len(idx)), list(range(block, len(idx), block)))
-        d = np.concatenate([_lane_divisors(xl.take(idx[j]), x0[j], lo[idx[j]], hi[idx[j]]) for j in blocks])
-        d = np.maximum(d, 1)
+        cut_lo, cut_hi = lo[idx], hi[idx]
+        if within:  # values past 2^33 are past every Hasse interval
+            a, b = (min(max(v, 0), 1 << 33) for v in within)
+            c_lo = np.maximum(cut_lo, np.where(twist, 2 * p[idx] + 2 - b, a))
+            c_hi = np.minimum(cut_hi, np.where(twist, 2 * p[idx] + 2 - a, b))
+            # only a first point is cut, and not where its cut keeps over half the
+            # interval: that saves fewer step rows than its hits cost again
+            on = (stage[idx] == 0) & (2 * (c_hi - c_lo) <= cut_hi - cut_lo)
+            cut_lo, cut_hi = np.where(on, c_lo, cut_lo), np.where(on, c_hi, cut_hi)
+        d = np.full(len(idx), -1)
+        run = np.flatnonzero(cut_lo <= cut_hi)
+        if len(run):
+            block = LANE_CELLS // _layout(int((cut_hi - cut_lo)[run].max()))[3]  # lanes at the widest step rows
+            blocks = np.split(run, list(range(block, len(run), block)))
+            d[run] = np.concatenate([_lane_divisors(xl.take(idx[j]), x0[j], cut_lo[j], cut_hi[j]) for j in blocks])
+        # a clean lane with no multiple of ord(P) in its cut has N_p outside; one with
+        # a hit, or a dirty one, runs that point again, as a hit need not be the order
+        cut = (cut_lo != lo[idx]) | (cut_hi != hi[idx])
+        outside[idx[cut & (d < 0)]] = True
+        stage[lanes] = np.where(stage[lanes] == 2, 3, 2)
+        stage[idx[cut & (d >= 0)]] = 1
+        d = np.where(cut, 1, np.maximum(d, 1))
         np.lcm.at(dE, idx[~twist], d[~twist])
         np.lcm.at(dT, idx[twist], d[twist])
         res[lanes] = _unique_order(p[lanes], lo[lanes], hi[lanes], dE[lanes], dT[lanes])
-        lanes = lanes[res[lanes] == 0]
-    for i, n in zip(big, res.tolist()):
-        out[i] = n or count_bsgs(ReducedCurve.reduce(model, ps[i]), seed=seed)
-    return out
+        lanes = lanes[(res[lanes] == 0) & ~outside[lanes] & (stage[lanes] < 3)]
+    return [
+        n or (0 if out else count_bsgs(ReducedCurve.reduce(model, q), seed=seed))
+        for q, n, out in zip(p.tolist(), res.tolist(), outside.tolist())
+    ]
 
 
 def _draw_points(xl: "_XLine", seed: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +410,8 @@ def _layout(w: int) -> tuple[int, int, int, int]:
 
 
 def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per lane, a divisor of the order of the group holding P, x(P) = x0, or 0.
+    """Per lane, the gcd of the multiples of ord(P), x(P) = x0, in [lo, hi]:
+    -1 where a clean lane finds none there, 0 where the lane is dirty.
 
     Baby steps x(iP), i <= m + 1, meet giant steps x(c_t P) at the centres
     c_t = (t0 + t)(2m + 1), walked from S = (2m + 1)P, where c_t -/+ i kills
@@ -377,8 +420,9 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     and the c -/+ i found in [lo, hi], with the c_t at infinity, are all
     the multiples of ord(P) there. A ladder checks c - i; c + i kills when
     c - i does not, or when iP is 2-torsion. Their gcd is ord(P) for two or
-    more, the group order for one. Dirty lanes give 0. Baby steps double,
-    so the first degenerate one is exact; keys need lanes * rows < 2^31.
+    more; one alone is the group order when [lo, hi] is the Hasse interval.
+    Baby steps double, so the first degenerate one is exact; keys need
+    lanes * rows < 2^31.
     """
     p = xl.p
     L = len(p)
@@ -438,6 +482,7 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     keep = (lo[v_lane] <= v) & (v <= hi[v_lane]) & ~dirty[v_lane]
     d = np.zeros(L, dtype=np.int64)
     np.gcd.at(d, v_lane[keep], v[keep])
+    d[(d == 0) & ~dirty] = -1
     return d
 
 

@@ -4,7 +4,9 @@ g1 inverts a single point count through the Hasse window, gk_solutions
 enumerates k-sets of distinct good primes whose counts multiply to n,
 gk_census aggregates all attained products up to a bound, and bk_count /
 dense_product_count are the admissible-product and dense-product
-counters used as distribution diagnostics.
+counters used as distribution diagnostics. g1, find_progressions and
+gk_solutions ask the counting batch only for the values they can use,
+so primes whose N_p cannot be among them are dropped uncounted.
 """
 
 from __future__ import annotations
@@ -102,12 +104,14 @@ class BkReport:
 
 
 def _np_window(
-    model: CurveModel, lo: int, hi: int, table: NpTable | None, seed: int
+    model: CurveModel, lo: int, hi: int, table: NpTable | None, seed: int, within: tuple[int, int] | None = None
 ) -> tuple[list[int], list[int]]:
-    """Good primes in [lo, hi] with their N_p, ascending.
+    """Good primes in [lo, hi] with their N_p, ascending; with within =
+    (a, b), only those with a <= N_p <= b.
 
     A table for the same curve serves the primes up to its limit; the
-    good primes above the limit are counted once, as one batch of lanes.
+    good primes above the limit are counted once, as one batch of lanes,
+    which drop the primes whose N_p cannot lie in within before counting.
     """
     ps: list[int] = []
     nps: list[int] = []
@@ -118,13 +122,16 @@ def _np_window(
         lo = max(lo, table.limit + 1)
     good = tuple(p for p in primes_in_range(lo, hi) if model.disc % p)
     # one batch through the module attribute, as a tuple: traced runs keep (curve, primes) in a set
-    return ps + list(good), nps + (count_points(model, good, seed=seed) if good else [])
+    ps, nps = ps + list(good), nps + (count_points(model, good, seed=seed, within=within) if good else [])
+    if within is None:
+        return ps, nps
+    kept = [i for i, v in enumerate(nps) if v and within[0] <= v <= within[1]]
+    return [ps[i] for i in kept], [nps[i] for i in kept]
 
 
 def g1(model: CurveModel, n: int, table: NpTable | None = None, seed: int = 0) -> ProgressionRecord:
     """Exhaustive solution of N_p = n: every prime in the window is tested."""
-    ps, nps = _np_window(model, *hasse_prime_window(n), table, seed)
-    return ProgressionRecord(n, tuple(p for p, v in zip(ps, nps) if v == n))
+    return ProgressionRecord(n, tuple(_np_window(model, *hasse_prime_window(n), table, seed, (n, n))[0]))
 
 
 def find_progressions(
@@ -148,9 +155,8 @@ def find_progressions(
     lo = hasse_prime_window(n_lo)[0]
     hi = hasse_prime_window(n_hi)[1]
     groups: dict[int, list[int]] = {}
-    for p, v in zip(*_np_window(model, lo, hi, table, seed)):
-        if n_lo <= v <= n_hi:
-            groups.setdefault(v, []).append(p)
+    for p, v in zip(*_np_window(model, lo, hi, table, seed, (n_lo, n_hi))):
+        groups.setdefault(v, []).append(p)
     return [
         ProgressionRecord(n, tuple(groups[n]))
         for n in sorted(groups)
@@ -207,17 +213,18 @@ def gk_solutions(
     d_cap = n // other_min
     wanted = [d for d in divisors(n) if d <= d_cap]
     # both ends of the window are nondecreasing in d, so spans merge in order
-    spans: list[list[int]] = []
+    spans: list[list[int]] = []  # [lo, hi, first d, last d]
     for d in wanted:
         lo, hi = hasse_prime_window(d)
         if spans and lo <= spans[-1][1] + 1:
-            spans[-1][1] = hi
+            spans[-1][1], spans[-1][3] = hi, d
         else:
-            spans.append([lo, hi])
+            spans.append([lo, hi, d, d])
     wanted_set = set(wanted)
     pool: list[tuple[int, int]] = []  # (N value, prime), sorted by N then p
-    for lo, hi in spans:
-        pool.extend((v, p) for p, v in zip(*_np_window(model, lo, hi, table, seed)) if v in wanted_set)
+    for lo, hi, d_lo, d_hi in spans:
+        window = _np_window(model, lo, hi, table, seed, (d_lo, d_hi))
+        pool.extend((v, p) for p, v in zip(*window) if v in wanted_set)
     pool.sort()
     vals = [d for d, _ in pool]
     sols: list[tuple[int, ...]] = []

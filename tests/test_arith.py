@@ -53,6 +53,16 @@ class TestPrimes:
         assert got == sorted(got)
         assert 2_000_003 in got
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1_048_000, 1_049_500), (1_048_577, 1_050_000), (10, 1_050_000), (900, 1_000_000),
+         (1000, 1000), (1024, 1030), (24, 24)],
+    )
+    def test_segment_equals_a_slice_of_the_full_sieve(self, lo, hi):
+        # windows across 2^20, starting below sqrt(hi), or without a prime
+        ps = primes_up_to(hi)
+        assert primes_in_range(lo, hi) == [p for p in ps if p >= lo]
+
 
 class TestFactorSieve:
     def test_spf_invariant(self):

@@ -297,10 +297,19 @@ class TestLanes:
 
     def test_blocks_stay_within_lane_cells(self, curve_a, monkeypatch):
         blocks = spy_lane_blocks(monkeypatch)
-        g1(curve_a, 57_000_000)
+        ps = good_primes(curve_a, *hasse_prime_window(57_000_000))
+        count_points(curve_a, ps)
         assert all(lanes * rows <= LANE_CELLS for lanes, rows in blocks)
         assert blocks[0] == (LANE_CELLS // 263, 263)
-        assert sum(lanes for lanes, _ in blocks) >= len(good_primes(curve_a, *hasse_prime_window(57_000_000)))
+        assert sum(lanes for lanes, _ in blocks) >= len(ps)
+        # a range cut from the Hasse intervals: narrower blocks, still within the bound
+        blocks.clear()
+        count_points(curve_a, ps, within=(56_990_000, 57_003_000))
+        assert all(lanes * rows <= LANE_CELLS for lanes, rows in blocks)
+        assert len(blocks) > 2 and blocks[0][1] < 263
+        blocks.clear()
+        g1(curve_a, 57_000_000)
+        assert blocks[0] == (len(ps), 4)
 
     def test_table_chunk_is_one_block(self, curve_a, monkeypatch):
         # 1000 lanes of 58 rows: each round of a chunk below 1.15e5 is one call
@@ -315,6 +324,81 @@ class TestLanes:
             count_points(curve_a, [5, 37])
         with pytest.raises(ValueError):
             count_points(curve_a, [100_003, 100_001])  # 100001 = 11 * 9091
+
+
+def orders(xl, x0, n):
+    """ord(P) per lane, x(P) = x0 != 0, from a multiple n of it, by the ladder."""
+    o = n.copy()
+    for r in [r for r in range(2, int(n.max()) + 1) if is_prime(r) and (n % r == 0).any()]:
+        while True:
+            can = o % r == 0
+            drop = can & (xl.ladder(x0, np.ones_like(x0), np.where(can, o // r, 1))[0][1] == 0)
+            if not drop.any():
+                break
+            o[drop] //= r
+    return o
+
+
+class TestWithin:
+    """count_points(..., within=(a, b)) against the full count, masked to [a, b]."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,-1,1,-10,-20"])
+    def test_equals_the_masked_full_count(self, spec, seed):
+        model = parse_curve(spec)
+        for size in (230, 5_000, 1_000_000, 10_000_000, 57_000_000):
+            ps = good_primes(model, size, size + 300)
+            full = count_points(model, ps, seed=seed)
+            lo, hi = hasse_bounds(ps[0])[0], hasse_bounds(ps[-1])[1]
+            n = full[len(full) // 2]
+            unattained = next(v for v in range(n, hi) if v not in full)
+            ranges = [
+                (n, n),
+                (unattained, unattained),
+                (n - 5, n + 5),
+                (lo - 10, lo + 10),  # across the low end of the first prime's interval
+                (hi - 10, hi + 10),  # and the high end of the last one's
+                (lo - 100, hi + 100),
+                (lo, hi),
+                (n, n - 1),
+                (1, 2**70),
+            ]
+            for a, b in ranges:
+                want = [v if a <= v <= b else 0 for v in full]
+                assert count_points(model, ps, seed=seed, within=(a, b)) == want, (size, a, b)
+
+    def test_ranges_with_no_lane(self, curve_a):
+        ps = good_primes(curve_a, 2, 240)
+        full = count_points(curve_a, ps)
+        assert count_points(curve_a, ps, within=(100, 200)) == [v if 100 <= v <= 200 else 0 for v in full]
+        assert count_points(curve_a, [], within=(1, 5)) == []
+
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,0,0,0,1"])
+    def test_a_clean_lane_says_none_only_when_no_multiple_lies_in_range(self, spec):
+        # every x0 of small primes, each with a random [a, b] inside its
+        # Hasse interval: -1 exactly when no multiple of ord(P) lies there
+        model = parse_curve(spec)
+        rng = np.random.default_rng(5)
+        nones = hits = 0
+        for q in good_primes(model, 231, 699):
+            xl = short_model_lanes(model, np.full(q - 1, q, dtype=np.int64))
+            x0 = np.arange(1, q, dtype=np.int64)
+            f = ((x0 * x0 % q + xl.A) * x0 + xl.B) % q
+            on = np.flatnonzero(f)
+            xl, x0, f = xl.take(on), x0[on], f[on]
+            lo, hi = hasse_bounds(q)
+            a = rng.integers(lo, hi + 1, len(x0))
+            b = np.minimum(a + rng.integers(0, [1, 8, hi - lo + 1][q % 3], len(x0)), hi)
+            n = count_charsum(ReducedCurve.reduce(model, q))
+            twist = np.array([pow(int(v), (q - 1) // 2, q) != 1 for v in f])
+            o = orders(xl, x0, np.where(twist, 2 * q + 2 - n, n))
+            first, last = (a + o - 1) // o * o, b // o * o
+            want = np.where(first > last, -1, np.where(first == last, first, o))
+            d = counting._lane_divisors(xl, x0, a, b)
+            assert ((d == want) | (d == 0)).all(), q
+            nones += int((d == -1).sum())
+            hits += int((d > 0).sum())
+        assert nones > 1000 and hits > 1000
 
 
 class TestHasseInvariants:
