@@ -26,6 +26,10 @@ from .table import NpTable, covering_table
 DEFAULT_CENSUS_BUDGET = 200_000_000
 DENSE_BRUTE_CEILING = 1_000_000
 
+# Product blocks become products in chunks of at most this many values, so
+# the fill's temporaries stay about 1.5 MB whatever the census size.
+FILL_CELLS = 1 << 16
+
 
 def default_epsilon(k: int) -> float:
     """Admissibility parameter: 0.008 at k = 3, else 90% of 2/(20(k^2+k))."""
@@ -315,32 +319,90 @@ class CensusResult:
         return lines
 
 
-def _product_blocks(vals: list[int], k: int, x: int, repeat: bool = False) -> list[tuple[int, int, int]]:
-    """The index-ascending k-products <= x over the sorted values, as blocks.
+def _product_blocks(vals: np.ndarray, k: int, x: int, repeat: bool = False):
+    """The index-ascending k-products <= x over the sorted positive values, as blocks.
 
-    A block (partial, start, stop) stands for the products partial * vals[t]
-    for start <= t < stop, partial being the product of the k - 1 earlier
-    factors. Indices rise strictly, or weakly when `repeat` is set.
+    Returns int64 arrays (partial, start, stop): block b stands for the
+    products partial[b] * vals[t] for start[b] <= t < stop[b], partial[b]
+    being the product of the k - 1 earlier factors. Indices rise strictly,
+    or weakly when `repeat` is set. The frontier of partial products grows
+    one factor per level: a factor v with rem factors still to place needs
+    v**rem <= x // partial, and only values up to iroot(x, rem) can, so
+    their rem-th powers fit int64 and one searchsorted bounds every entry.
     """
-    blocks: list[tuple[int, int, int]] = []
-    stack = [(0, k, x, 1)]
-    while stack:
-        start, remaining, cap, partial = stack.pop()
-        if remaining == 1:
-            stop = bisect_right(vals, cap, lo=start)
-            if stop > start:
-                blocks.append((partial, start, stop))
-            continue
-        hi = bisect_right(vals, iroot(cap, remaining), lo=start)
-        for i in range(start, hi):
-            v = vals[i]
-            stack.append((i if repeat else i + 1, remaining - 1, cap // v, partial * v))
-    return blocks
+    vals = np.asarray(vals, dtype=np.int64)
+    partial = np.ones(1, np.int64)
+    start = np.zeros(1, np.int64)
+    cap = np.full(1, x, np.int64)
+    for rem in range(k, 1, -1):
+        head = vals[: np.searchsorted(vals, iroot(x, rem), side="right")]
+        width = np.maximum(np.searchsorted(head**rem, cap, side="right") - start, 0)
+        parent = np.repeat(np.arange(len(width)), width)
+        t = start[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        v = vals[t]
+        partial, cap, start = partial[parent] * v, cap[parent] // v, t if repeat else t + 1
+    stop = np.searchsorted(vals, cap, side="right")
+    keep = stop > start
+    return partial[keep], start[keep], stop[keep]
 
 
-def _product_count(vals: list[int], k: int, x: int) -> int:
+def _product_count(vals: np.ndarray, k: int, x: int) -> int:
     """Number of index-ascending k-products <= x over the sorted values."""
-    return sum(stop - start for _, start, stop in _product_blocks(vals, k, x))
+    _, start, stop = _product_blocks(vals, k, x)
+    return int((stop - start).sum())
+
+
+def _product_chunks(vals: np.ndarray, blocks):
+    """The products of the blocks in block order, in arrays of at most
+    FILL_CELLS values of the dtype of vals.
+
+    A chunk may cut a block at either end. Within a chunk, the value index
+    of position j in block b is j plus the offset lo[b] - (first position
+    of b), so one repeat of the offsets gives every index.
+    """
+    partial, start, stop = blocks
+    ends = np.cumsum(stop - start)
+    total = int(ends[-1]) if len(ends) else 0
+    for c0 in range(0, total, FILL_CELLS):
+        c1 = min(c0 + FILL_CELLS, total)
+        b0 = int(np.searchsorted(ends, c0, side="right"))
+        b1 = int(np.searchsorted(ends, c1 - 1, side="right")) + 1
+        lo, hi = start[b0:b1].copy(), stop[b0:b1].copy()
+        lo[0] = stop[b0] - (ends[b0] - c0)
+        hi[-1] = stop[b1 - 1] - (ends[b1 - 1] - c1)
+        lens = hi - lo
+        t = np.arange(c1 - c0) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        yield np.repeat(partial[b0:b1].astype(vals.dtype), lens) * vals[t]
+
+
+def _group_products(vals: np.ndarray, blocks, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ns, counts) as int64: each distinct product of the blocks, ascending,
+    with the number of blocks' products equal to it.
+
+    Every product, and every value and partial product it is made of, is
+    at most x, so below 2**31 they are filled, sorted and compared as int32
+    keys: half the bytes of int64 for the same order.
+    """
+    key = vals.astype(np.int32 if x < 2**31 else np.int64)
+    total = int((blocks[2] - blocks[1]).sum())
+    products = np.empty(total, key.dtype)
+    cursor = 0
+    for chunk in _product_chunks(key, blocks):
+        products[cursor : cursor + len(chunk)] = chunk
+        cursor += len(chunk)
+    products.sort()
+    run = np.empty(total, bool)
+    run[:1] = True
+    np.not_equal(products[1:], products[:-1], out=run[1:])
+    heads = np.flatnonzero(run)
+    del run
+    ns, counts = np.empty(len(heads), np.int64), np.empty(len(heads), np.int64)
+    ns[:] = products[heads]
+    del products
+    # run lengths go straight into counts, with no concatenated copy of heads
+    np.subtract(heads[1:], heads[:-1], out=counts[:-1])
+    counts[-1:] = total - heads[-1:]
+    return ns, counts
 
 
 def gk_census(
@@ -374,15 +436,14 @@ def gk_census(
     limit = hasse_prime_window(n_cap)[1]
     table = covering_table(table, model, limit, workers=workers, seed=seed, cache_dir=cache_dir)
     nps = table.upto(limit)[1]
-    nps_arr = np.sort(nps[nps <= n_cap])
-    ns = nps_arr.tolist()
-    blocks = _product_blocks(ns, k, x)
-    total = sum(stop - start for _, start, stop in blocks)
+    vals = np.sort(nps[nps <= n_cap])
+    blocks = _product_blocks(vals, k, x)
+    total = int((blocks[2] - blocks[1]).sum())
     if total > budget:
         lo_b, hi_b = 1, x
         while lo_b < hi_b:
             mid = (lo_b + hi_b + 1) // 2
-            if _product_count(ns, k, mid) <= budget:
+            if _product_count(vals, k, mid) <= budget:
                 lo_b = mid
             else:
                 hi_b = mid - 1
@@ -391,19 +452,7 @@ def gk_census(
             f"largest feasible bound is x={lo_b}",
             feasible_bound=lo_b,
         )
-    if total == 0:
-        return CensusResult(model, k, x, empty, empty, table)
-    products = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for partial, start, stop in blocks:
-        products[cursor : cursor + stop - start] = partial * nps_arr[start:stop]
-        cursor += stop - start
-    products.sort()
-    breaks = np.flatnonzero(products[1:] != products[:-1])
-    starts = np.concatenate(([0], breaks + 1))
-    uniq = products[starts].copy()
-    counts = np.diff(np.concatenate((starts, [total]))).astype(np.int64)
-    return CensusResult(model, k, x, uniq, counts, table)
+    return CensusResult(model, k, x, *_group_products(vals, blocks, x), table)
 
 
 def bk_count(
@@ -434,12 +483,12 @@ def bk_count(
         raise ValueError("give both a and b, or neither")
     table = covering_table(table, model, x, seed=seed)
     ps, nps = table.upto(x)
-    admissible = ps[omega_table(int(nps.max(initial=0)))[nps] >= threshold].tolist()
+    admissible = ps[omega_table(int(nps.max(initial=0)))[nps] >= threshold]
     if a is not None:
         if not 0 < a < b < 1:
             raise ValueError("need 0 < a < b < 1")
         lo_p, hi_p = x**a, x**b
-        admissible = [p for p in admissible if lo_p <= p < hi_p]
+        admissible = admissible[(lo_p <= admissible) & (admissible < hi_p)]
     count = _product_count(admissible, k, x)
     return BkReport(x, k, epsilon, count, count * math.log(x) / x)
 
@@ -463,10 +512,8 @@ def dense_product_count(
     if x < 2:
         return 0
     threshold = (1.0 - epsilon) * math.log(math.log(x))
-    w = omega_table(x)
-    factors = np.flatnonzero(w > threshold).tolist()
-    arr = np.asarray(factors, dtype=np.int64)
+    factors = np.flatnonzero(omega_table(x)[1:] > threshold) + 1
     marked = np.zeros(x + 1, dtype=bool)
-    for partial, start, stop in _product_blocks(factors, k, x, repeat=True):
-        marked[partial * arr[start:stop]] = True
+    for chunk in _product_chunks(factors, _product_blocks(factors, k, x, repeat=True)):
+        marked[chunk] = True
     return int(np.count_nonzero(marked))

@@ -1,7 +1,8 @@
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from ellnum import search
@@ -273,6 +274,9 @@ class TestCensus:
         assert 1 <= bound < 10_000
         retry = gk_census(curve_a, 2, bound, table=table_a5k, budget=10)
         assert retry.total_products <= 10
+        # the largest x with at most 10 products: one below the 11th smallest product
+        pairs = sorted(n1 * n2 for (_, n1), (_, n2) in combinations(list(table_a5k), 2))
+        assert bound == pairs[10] - 1
 
     def test_short_or_foreign_table_raises(self, curve_a, curve_b, table_a5k):
         # k = 2 at 1e5: factors up to 1e5 / 5, whose Hasse window ends at 20283
@@ -290,6 +294,86 @@ class TestCensus:
         wit = census.witnesses(3017520)
         assert len(wit) == len(set(wit)) == 25
         assert {(101, 107, 251), (113, 127, 167)} <= set(wit)
+
+
+def _brute_products(vals, k, x, repeat=False):
+    pick = combinations_with_replacement if repeat else combinations
+    return Counter(n for c in pick(vals, k) if (n := math.prod(c)) <= x)
+
+
+def _block_products(vals, blocks):
+    return Counter(
+        int(partial) * v for partial, start, stop in zip(*blocks) for v in vals[start:stop]
+    )
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "vals, x",
+        [
+            ([1, 2, 2, 3, 5, 5, 5, 7, 12], 150),  # a leading 1 (curve b has N_2 = 1), duplicates
+            ([2, 3, 3, 4, 9, 10], 81),  # x = 3**4 = 9**2 = 81**1 exactly
+            ([4, 6, 6, 8, 8, 8, 11, 30, 31], 1000),
+            ([5, 6, 7], 4),  # x below the smallest value
+            ([], 100),
+        ],
+    )
+    def test_blocks_match_itertools(self, vals, x, k, repeat):
+        blocks = search._product_blocks(np.array(vals, np.int64), k, x, repeat)
+        assert all(b.dtype == np.int64 for b in blocks)
+        partial, start, stop = blocks
+        assert (start < stop).all() and (stop <= len(vals)).all()
+        assert _block_products(vals, blocks) == _brute_products(vals, k, x, repeat)
+        if not repeat:
+            assert search._product_count(np.array(vals, np.int64), k, x) == sum(
+                _brute_products(vals, k, x).values()
+            )
+
+    @pytest.mark.parametrize("fill_cells", [3, 1 << 16])
+    @pytest.mark.parametrize("x", [2**31 - 2, 2**31 - 1, 2**31, 2**33])
+    def test_grouping_straddles_int32(self, x, fill_cells, monkeypatch):
+        # 46340**2 < 2**31 - 1 < 46341**2, and 2 * 2**30 = 2**31
+        monkeypatch.setattr(search, "FILL_CELLS", fill_cells)
+        vals = [1, 2, 3, 7, 46340, 46340, 46341, 65536, 2**30 - 1, 2**30, 2**31 - 1, 2**31]
+        arr = np.array(vals, np.int64)
+        for k in (2, 3):
+            ns, counts = search._group_products(arr, search._product_blocks(arr, k, x), x)
+            assert ns.dtype == np.int64 and counts.dtype == np.int64
+            assert dict(zip(ns.tolist(), counts.tolist())) == _brute_products(vals, k, x)
+            assert (np.diff(ns) > 0).all()
+
+    def test_chunks_cut_blocks_anywhere(self, monkeypatch):
+        vals = np.array([1, 2, 2, 3, 5, 8, 13, 21, 34], np.int64)
+        blocks = search._product_blocks(vals, 3, 2000, repeat=True)
+        want = np.concatenate([p * vals[a:b] for p, a, b in zip(*blocks)])
+        for cells in (1, 2, 5, 64, 1 << 16):
+            monkeypatch.setattr(search, "FILL_CELLS", cells)
+            chunks = list(search._product_chunks(vals, blocks))
+            assert all(0 < len(c) <= cells for c in chunks)
+            assert np.array_equal(np.concatenate(chunks), want)
+
+    def test_4e6_census_over_several_chunks(self, curve_a, table_a):
+        census = gk_census(curve_a, 3, 4_000_000, table=table_a)
+        assert census.total_products == 408_472 > 4 * search.FILL_CELLS
+        assert census.ns.dtype == np.int64 and census.counts.dtype == np.int64
+        # a pruned triple loop over every table value as the oracle
+        x = 4_000_000
+        vals = sorted(table_a.nps.tolist())
+        brute = Counter()
+        for i, a in enumerate(vals):
+            if a**3 > x:
+                break
+            for j in range(i + 1, len(vals)):
+                b = vals[j]
+                if a * b * b > x:
+                    break
+                for c in vals[j + 1 :]:
+                    if a * b * c > x:
+                        break
+                    brute[a * b * c] += 1
+        assert census.as_dict() == brute
 
 
 def _brute_bk(model, k, x, epsilon, table):
@@ -391,6 +475,11 @@ class TestDenseProducts:
         lo = dense_product_count(50_000, 3, 0.008)
         hi = dense_product_count(100_000, 3, 0.008)
         assert 0 <= lo <= hi <= 100_000
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_counts_from_one_at_x_2(self, k):
+        # loglog(2) < 0, so 1 = 1 * ... * 1 and 2 = 2 * 1 * ... * 1 both count, and 0 never does
+        assert dense_product_count(2, k, 0.008) == _brute_dense(2, k, 0.008) == 2
 
     def test_zero_at_1e4(self):
         assert dense_product_count(10_000, 3, 0.008) == 0
