@@ -1,9 +1,12 @@
 """Sieves and elementary arithmetic functions applied to point counts.
 
-The factor sieve keeps smallest prime factors up to a configurable limit
-(default 2 * 10**6); values above the limit fall back to trial division.
-omega_table counts distinct prime factors over a whole range at once: the
-pipeline reads omega(N_p) from it, and the per-value omega is its reference.
+factorize is trial division by the primes up to sqrt(n); divisors and
+is_squarefree go through it. omega_table counts distinct prime factors
+over a whole range at once, and the pipeline reads omega(N_p) from it.
+The factor sieve (smallest prime factors up to a limit, default 2 * 10**6;
+larger values go to factorize) and the per-value omega on top of it are
+off the pipeline's path: they stay as the reference that omega_table is
+tested against and as perfbench's probes.
 """
 
 from __future__ import annotations
@@ -67,6 +70,24 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return (np.flatnonzero(sieve) + lo).tolist()
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs,
+    by trial division: a cofactor left above 1 once the primes up to
+    sqrt(n) are stripped is the one prime factor above sqrt(n)."""
+    if n < 1:
+        raise ValueError("factorization needs n >= 1")
+    out: list[tuple[int, int]] = []
+    for q in [q for q in primes_up_to(math.isqrt(n)) if n % q == 0]:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        out.append((q, e))
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 class FactorSieve:
     """Smallest-prime-factor table for 2 <= n <= limit."""
 
@@ -82,45 +103,25 @@ class FactorSieve:
         rest = np.flatnonzero(spf[2:] == 0) + 2
         spf[rest] = rest
         self.spf = spf
-        self._primes: list[int] | None = None
-
-    def primes(self) -> list[int]:
-        if self._primes is None:
-            idx = np.arange(2, self.limit + 1)
-            self._primes = idx[self.spf[2:] == idx].tolist()
-        return self._primes
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization of n >= 1 as (prime, exponent) pairs."""
+        """Prime factorization of n >= 1 as (prime, exponent) pairs; n above
+        the limit, up to its square, goes to trial division."""
         if n < 1:
             raise ValueError("factorization needs n >= 1")
+        if n > self.limit:
+            if math.isqrt(n) > self.limit:
+                raise ValueError(f"{n} exceeds the factorization range of this sieve")
+            return factorize(n)
         out: list[tuple[int, int]] = []
-        if n <= self.limit:
-            spf = self.spf
-            while n > 1:
-                q = int(spf[n])
-                e = 0
-                while n % q == 0:
-                    n //= q
-                    e += 1
-                out.append((q, e))
-            return out
-        # trial division over sieved primes up to sqrt(n); rare path
-        r = math.isqrt(n)
-        if r > self.limit:
-            raise ValueError(f"{n} exceeds the factorization range of this sieve")
-        for q in self.primes():
-            if q > r:
-                break
-            if n % q == 0:
-                e = 0
-                while n % q == 0:
-                    n //= q
-                    e += 1
-                out.append((q, e))
-                r = math.isqrt(n)
-        if n > 1:
-            out.append((n, 1))
+        spf = self.spf
+        while n > 1:
+            q = int(spf[n])
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
         return out
 
 
@@ -141,19 +142,17 @@ def omega(n: int, sieve: FactorSieve | None = None) -> int:
     return len(sieve.factorize(n))
 
 
-def divisors(n: int, sieve: FactorSieve | None = None) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
-    sieve = sieve or shared_sieve()
     out = [1]
-    for q, e in sieve.factorize(n):
+    for q, e in factorize(n):
         out = [d * q**i for d in out for i in range(e + 1)]
     out.sort()
     return out
 
 
-def is_squarefree(n: int, sieve: FactorSieve | None = None) -> bool:
-    sieve = sieve or shared_sieve()
-    return all(e == 1 for _, e in sieve.factorize(n))
+def is_squarefree(n: int) -> bool:
+    return all(e == 1 for _, e in factorize(n))
 
 
 # Reject arguments where log(log(x)) would be below 1; statistics callers

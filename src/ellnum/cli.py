@@ -11,6 +11,7 @@ reduction, 64 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -205,7 +206,7 @@ def cmd_moments(args, model) -> int:
     _stamp(args, model, args.x)
     table = _table_for(args, model, args.x)
     rep = moments(table, args.x)
-    payload = rep.as_dict()
+    payload = dataclasses.asdict(rep)
     csv_lines = None
     if args.bins > 0:
         dist = standardized_distribution(table, args.x, args.bins)
@@ -220,7 +221,7 @@ def cmd_mertens(args, model) -> int:
     limit = int(math.ceil(args.x**args.b)) + 1
     table = _table_for(args, model, limit)
     rep = admissible_recip_sum(table, args.x, args.a, args.b, args.epsilon)
-    _emit(args, rep.as_dict())
+    _emit(args, dataclasses.asdict(rep))
     return EXIT_OK
 
 

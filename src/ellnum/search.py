@@ -97,15 +97,6 @@ class BkReport:
     count: int
     density_ratio: float
 
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "count": self.count,
-            "density_ratio": self.density_ratio,
-        }
-
 
 def _np_window(
     model: CurveModel, lo: int, hi: int, table: NpTable | None, seed: int, within: tuple[int, int] | None = None
@@ -113,13 +104,15 @@ def _np_window(
     """Good primes in [lo, hi] with their N_p, ascending; with within =
     (a, b), only those with a <= N_p <= b.
 
-    A table for the same curve serves the primes up to its limit; the
-    good primes above the limit are counted once, as one batch of lanes,
-    which drop the primes whose N_p cannot lie in within before counting.
+    A table serves the primes up to its limit and raises TableError if it
+    is for another curve; the good primes above the limit are counted
+    once, as one batch of lanes, which drop the primes whose N_p cannot
+    lie in within before counting.
     """
     ps: list[int] = []
     nps: list[int] = []
-    if table is not None and table.curve.coefficients == model.coefficients:
+    if table is not None:
+        covering_table(table, model, min(hi, table.limit))
         i = int(np.searchsorted(table.ps, lo))
         j = int(np.searchsorted(table.ps, hi, side="right"))
         ps, nps = table.ps[i:j].tolist(), table.nps[i:j].tolist()
@@ -482,8 +475,8 @@ def bk_count(
     if (a is None) != (b is None):
         raise ValueError("give both a and b, or neither")
     table = covering_table(table, model, x, seed=seed)
-    ps, nps = table.upto(x)
-    admissible = ps[omega_table(int(nps.max(initial=0)))[nps] >= threshold]
+    ps = table.upto(x)[0]
+    admissible = ps[table.omegas[: len(ps)] >= threshold]
     if a is not None:
         if not 0 < a < b < 1:
             raise ValueError("need 0 < a < b < 1")

@@ -1,7 +1,8 @@
 """Empirical distribution statistics of omega(N_p) over good primes.
 
 Centered moments use the range bound x for the centering term loglog(x),
-never a per-prime value. omega(N_p) is read from one omega_table per pass.
+never a per-prime value. Every pass reads omega(N_p) from the table's
+omegas column, which one omega_table fills once per table.
 Sums run left to right in ascending p (a cumulative sum, not numpy's
 pairwise np.sum) so every floating-point result is bit-reproducible.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_squarefree, loglog, omega_table
+from .arith import is_squarefree, loglog
 from .arith import shared_sieve  # noqa: F401 (perfbench wraps stats.shared_sieve)
 from .table import NpTable
 
@@ -38,19 +39,6 @@ class MomentReport:
     ratio2_alt: float
     ratio4: float
 
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "pi_x": self.pi_x,
-            "n_good": self.n_good,
-            "mean_omega": self.mean_omega,
-            "m2": self.m2,
-            "m4": self.m4,
-            "ratio2": self.ratio2,
-            "ratio2_alt": self.ratio2_alt,
-            "ratio4": self.ratio4,
-        }
-
 
 @dataclass(frozen=True)
 class AdmissibilityProfile:
@@ -63,16 +51,6 @@ class AdmissibilityProfile:
     inadmissible_count: int
     inadmissible_recip_sum: float
 
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-            "admissible_count": self.admissible_count,
-            "inadmissible_count": self.inadmissible_count,
-            "inadmissible_recip_sum": self.inadmissible_recip_sum,
-        }
-
 
 @dataclass(frozen=True)
 class DistributionReport:
@@ -82,14 +60,6 @@ class DistributionReport:
     sample_size: int
     bins: tuple[tuple[float, float, float], ...]  # (left, right, mass)
     ks_stat: float
-
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "sample_size": self.sample_size,
-            "bins": [list(b) for b in self.bins],
-            "ks_stat": self.ks_stat,
-        }
 
     def csv_lines(self) -> list[str]:
         lines = ["bin_left,bin_right,mass"]
@@ -111,19 +81,6 @@ class RecipSumReport:
     mertens_reference: float  # log(b/a)
     empty_range: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "a": self.a,
-            "b": self.b,
-            "epsilon": self.epsilon,
-            "total_sum": self.total_sum,
-            "admissible_sum": self.admissible_sum,
-            "inadmissible_sum": self.inadmissible_sum,
-            "mertens_reference": self.mertens_reference,
-            "empty_range": self.empty_range,
-        }
-
 
 def _ordered_sum(values: np.ndarray) -> float:
     """Left-to-right float sum; 0.0 when empty."""
@@ -134,10 +91,10 @@ def _omega_values(table: NpTable, x: int) -> tuple[np.ndarray, np.ndarray]:
     """(good primes <= x, omega of their N values), ascending p."""
     if x > table.limit:
         raise ValueError(f"x={x} exceeds the table limit {table.limit}")
-    ps, nps = table.upto(x)
+    ps = table.upto(x)[0]
     if len(ps) == 0:
         raise ValueError(f"no good primes <= {x} in the table")
-    return ps, omega_table(int(nps.max()))[nps]
+    return ps, table.omegas[: len(ps)]
 
 
 def moments(table: NpTable, x: int) -> MomentReport:
@@ -221,9 +178,8 @@ def admissible_recip_sum(table: NpTable, x: int, a: float, b: float, epsilon: fl
     lo = x**a
     threshold = (1.0 - epsilon) * loglog(x)
     band = (table.ps >= lo) & (table.ps < hi)
-    nps = table.nps[band]
     r = 1.0 / table.ps[band]
-    ok = omega_table(int(nps.max(initial=0)))[nps] >= threshold
+    ok = table.omegas[band] >= threshold
     return RecipSumReport(
         x=x,
         a=a,

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import os
 from contextlib import ExitStack
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import omega_table, primes_up_to
 from .counting import count_points
 from .curves import CurveModel
 from .errors import (
@@ -77,6 +78,13 @@ class NpTable:
 
     def max_np(self) -> int:
         return int(self.nps.max()) if len(self.nps) else 0
+
+    @cached_property
+    def omegas(self) -> np.ndarray:
+        """omega(N_p) for every entry, from one omega_table sieved on first use."""
+        w = omega_table(self.max_np())[self.nps]
+        w.flags.writeable = False
+        return w
 
     def validate(self) -> None:
         """Re-check every structural invariant; raises a TableError subclass."""

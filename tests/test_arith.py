@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ellnum.arith import (
     FactorSieve,
     divisors,
+    factorize,
     iroot,
     is_prime,
     is_squarefree,
@@ -92,6 +93,24 @@ class TestFactorSieve:
         sieve = FactorSieve(100)
         with pytest.raises(ValueError):
             sieve.factorize(0)
+
+
+class TestFactorize:
+    def test_matches_sympy(self):
+        from sympy import factorint
+
+        rng = random.Random(15)
+        ps = primes_in_range(1, 50_000)
+        squares = [q * q for q in ps[:20] + ps[-20:]]
+        # p * q with p just below sqrt(p * q): the cofactor left is the prime q
+        near_root = [p * q for p, q in zip(ps[-20:], primes_in_range(50_001, 50_400))]
+        seeded = [rng.randint(2, 2 * 10**9) for _ in range(300)]
+        for n in [1, 2, 3, 4, 1_988_217_000] + ps[:50] + ps[-50:] + squares + near_root + seeded:
+            assert factorize(n) == sorted(factorint(n).items()), n
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            factorize(0)
 
 
 class TestAdditiveFunctions:

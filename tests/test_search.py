@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
-from ellnum import search
+from ellnum import arith, search
 from ellnum.arith import loglog, omega, omega_table, primes_in_range
 from ellnum.counting import count_points
 from ellnum.errors import CensusBudgetError, TableError
@@ -19,6 +19,7 @@ from ellnum.search import (
     gk_solutions,
     hasse_prime_window,
 )
+from ellnum.stats import pi_e
 
 
 def test_default_epsilon_rule():
@@ -286,6 +287,24 @@ class TestCensus:
         assert "20283" in msg and "5000" in msg and "0,0,1,-1,0" in msg
         with pytest.raises(TableError):
             gk_census(curve_b, 2, 1_000, table=table_a5k)
+        # the windows of g1 and gk_solutions refuse it too, not ignore it and recount
+        for call in (lambda: g1(curve_b, 624, table=table_a5k),
+                     lambda: gk_solutions(curve_b, 3, 3360, table=table_a5k)):
+            with pytest.raises(TableError) as exc:
+                call()
+            assert "0,0,1,-1,0" in str(exc.value) and "0,0,3,-1,2" in str(exc.value)
+
+    def test_no_factor_sieve(self, curve_a, table_a, monkeypatch):
+        # divisors and is_squarefree go by trial division, not the shared sieve
+        def refuse(*args, **kwargs):
+            raise AssertionError("factor sieve used")
+
+        monkeypatch.setattr(arith, "shared_sieve", refuse)
+        monkeypatch.setattr(arith.FactorSieve, "__init__", refuse)
+        assert gk_solutions(curve_a, 3, 3_017_520, table=table_a).count == 25
+        census = gk_census(curve_a, 3, 4_000_000, table=table_a)
+        assert len(census.witnesses(3_107_520)) == 7
+        assert pi_e(table_a, 10_000, 30) == int(np.count_nonzero(table_a.upto(10_000)[1] % 30 == 0))
 
     def test_4e6_witness_counts(self, curve_a, table_a):
         census = gk_census(curve_a, 3, 4_000_000, table=table_a)

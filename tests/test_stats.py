@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ellnum import arith, search, table
 from ellnum.arith import FactorSieve, loglog
 from ellnum.search import bk_count
 from ellnum.stats import (
@@ -11,6 +12,7 @@ from ellnum.stats import (
     pi_e,
     standardized_distribution,
 )
+from ellnum.table import NpTable
 
 # float.hex of every float field of the four reports on table_a, recorded
 # from the per-value loops that the array passes replaced: moments
@@ -298,13 +300,19 @@ class TestBitReproducible:
         assert got == want["recip"]
 
     def test_no_per_value_factorization(self, curve_a, table_a, monkeypatch):
-        # omega(N_p) comes from one omega_table per pass, never the factor sieve
+        # omega(N_p) comes from the table's one omega_table, never the factor sieve
         calls = []
         real = FactorSieve.factorize
         monkeypatch.setattr(FactorSieve, "factorize", lambda self, n: calls.append(n) or real(self, n))
-        moments(table_a, 100_000)
-        standardized_distribution(table_a, 100_000, 20)
-        admissibility_profile(table_a, 100_000, 0.008)
-        admissible_recip_sum(table_a, 100_000, 0.25, 0.95, 0.008)
-        bk_count(curve_a, 2, 100_000, table=table_a)
+        sieved = []
+        real_table = arith.omega_table
+        for module in (arith, table, search):
+            monkeypatch.setattr(module, "omega_table", lambda n: sieved.append(n) or real_table(n))
+        fresh = NpTable(table_a.curve, table_a.limit, table_a.ps, table_a.nps, table_a.bad_primes)
+        moments(fresh, 100_000)
+        standardized_distribution(fresh, 100_000, 20)
+        admissibility_profile(fresh, 100_000, 0.008)
+        admissible_recip_sum(fresh, 100_000, 0.25, 0.95, 0.008)
+        bk_count(curve_a, 2, 100_000, table=fresh)
         assert calls == []
+        assert sieved == [fresh.max_np()]
