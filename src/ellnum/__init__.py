@@ -14,7 +14,6 @@ from .curves import (
 )
 from .errors import (
     BadReductionError,
-    CensusBudgetError,
     CurveSpecError,
     EllnumError,
     SingularCurveError,

@@ -1,8 +1,9 @@
 """Sieves and elementary arithmetic functions applied to point counts.
 
-factorize is trial division by the primes up to sqrt(n); divisors and
-is_squarefree go through it. omega_table counts distinct prime factors
-over a whole range at once, and the pipeline reads omega(N_p) from it.
+factorize is trial division up to the square root of the cofactor;
+divisors and is_squarefree go through it. omega_table counts distinct
+prime factors over a whole range at once, and the pipeline reads
+omega(N_p) from it.
 The factor sieve (smallest prime factors up to a limit, default 2 * 10**6;
 larger values go to factorize) and the per-value omega on top of it are
 off the pipeline's path: they stay as the reference that omega_table is
@@ -24,7 +25,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24."""
     if n < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_BASES:
         if n == sp:
             return True
         if n % sp == 0:
@@ -72,12 +73,17 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs,
-    by trial division: a cofactor left above 1 once the primes up to
-    sqrt(n) are stripped is the one prime factor above sqrt(n)."""
+    by trial division that stops once q^2 exceeds the cofactor: a cofactor
+    left above 1 then has no prime factor up to its square root, so it is
+    prime."""
     if n < 1:
         raise ValueError("factorization needs n >= 1")
     out: list[tuple[int, int]] = []
-    for q in [q for q in primes_up_to(math.isqrt(n)) if n % q == 0]:
+    for q in primes_up_to(math.isqrt(n)):
+        if q * q > n:
+            break
+        if n % q:
+            continue
         e = 0
         while n % q == 0:
             n //= q

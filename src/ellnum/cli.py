@@ -98,7 +98,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="product budget override")
 
     p = sub.add_parser("moments", help="centered moments of omega(N_p) up to x")
     _add_common(p)
@@ -121,7 +120,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--extended", action="store_true",
                    help="also run the census witness check at x = 2*10^9 (minutes)")
-    p.add_argument("--budget", type=int, default=None)
 
     return ap
 
@@ -184,12 +182,7 @@ def cmd_gk(args, model) -> int:
 
 def cmd_census(args, model) -> int:
     _stamp(args, model, args.x)
-    kw = {}
-    if args.budget is not None:
-        kw["budget"] = args.budget
-    census = gk_census(
-        model, args.k, args.x, seed=args.seed, workers=args.workers, cache_dir=args.cache, **kw
-    )
+    census = gk_census(model, args.k, args.x, seed=args.seed, workers=args.workers, cache_dir=args.cache)
     payload = {
         "k": census.k,
         "x": census.x,
@@ -352,9 +345,8 @@ def cmd_verify_paper(args, model) -> int:
 
     if args.extended:
         try:
-            # the full 2e9 census aggregates ~2.3e8 products
-            budget = args.budget if args.budget else 10**9
-            big = gk_census(curve_a, 3, CENSUS_EXT_X, seed=args.seed, budget=budget,
+            # the full 2e9 census groups ~2.3e8 products, slab by slab
+            big = gk_census(curve_a, 3, CENSUS_EXT_X, seed=args.seed,
                             workers=args.workers, cache_dir=args.cache)
             c = big.count(CENSUS_EXT_N)
             report(f"census 2e9 count at {CENSUS_EXT_N} >= 2", c >= 2, f"count {c}")

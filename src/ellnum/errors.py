@@ -45,14 +45,3 @@ class TableCurveError(TableError):
 
 class TableBuildError(EllnumError):
     """Table construction aborted; reports the completed prefix."""
-
-
-class CensusBudgetError(EllnumError):
-    """Census enumeration would exceed the memory budget.
-
-    feasible_bound is the largest bound that fits the budget.
-    """
-
-    def __init__(self, message: str, feasible_bound: int):
-        self.feasible_bound = feasible_bound
-        super().__init__(message)

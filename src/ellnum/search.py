@@ -18,17 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors, iroot, loglog, omega_table, primes_in_range
-from .counting import count_points
+from .counting import count_points, hasse_bounds
 from .curves import CurveModel
-from .errors import CensusBudgetError
 from .table import NpTable, covering_table
 
-DEFAULT_CENSUS_BUDGET = 200_000_000
 DENSE_BRUTE_CEILING = 1_000_000
 
 # Product blocks become products in chunks of at most this many values, so
 # the fill's temporaries stay about 1.5 MB whatever the census size.
 FILL_CELLS = 1 << 16
+
+# A census groups its products in slabs of n holding at most this many (or
+# one n), so its work arrays stay under about 100 MB whatever x is.
+SLAB_CELLS = 1 << 22
 
 
 def default_epsilon(k: int) -> float:
@@ -42,13 +44,13 @@ def hasse_prime_window(n: int) -> tuple[int, int]:
     """The integer interval of primes p that can possibly have N_p = n.
 
     N_p = n forces (sqrt(p) - 1)^2 <= n <= (sqrt(p) + 1)^2, i.e.
-    p in [n + 1 - 2*sqrt(n), n + 1 + 2*sqrt(n)]; the bounds use exact
-    integer square roots, no floating point.
+    p in [n + 1 - 2*sqrt(n), n + 1 + 2*sqrt(n)]: the Hasse interval of n
+    itself, clipped at 1.
     """
     if n < 1:
         raise ValueError("window needs n >= 1")
-    s = math.isqrt(4 * n)
-    return max(1, n + 1 - s), n + 1 + s
+    lo, hi = hasse_bounds(n)
+    return max(1, lo), hi
 
 
 @dataclass(frozen=True)
@@ -249,31 +251,19 @@ def gk_solutions(
     return GkSolution(n, k, tuple(sols))
 
 
+@dataclass(frozen=True, eq=False)
 class CensusResult:
     """Aggregated map n -> G_k(E, n) over all attained products n <= x."""
 
-    def __init__(
-        self,
-        model: CurveModel,
-        k: int,
-        x: int,
-        ns: np.ndarray,
-        counts: np.ndarray,
-        table: NpTable | None = None,
-    ):
-        self.model = model
-        self.k = k
-        self.x = x
-        self.ns = ns
-        self.counts = counts
-        self._table = table
+    model: CurveModel
+    k: int
+    x: int
+    ns: np.ndarray
+    counts: np.ndarray
+    table: NpTable | None = None
 
     def __len__(self) -> int:
         return len(self.ns)
-
-    @property
-    def table(self) -> NpTable | None:
-        return self._table
 
     def count(self, n: int) -> int:
         i = int(np.searchsorted(self.ns, n))
@@ -304,7 +294,7 @@ class CensusResult:
 
     def witnesses(self, n: int) -> list[tuple[int, ...]]:
         """Every solution set for n, recomputed through gk_solutions."""
-        return list(gk_solutions(self.model, self.k, n, table=self._table).solutions)
+        return list(gk_solutions(self.model, self.k, n, table=self.table).solutions)
 
     def csv_lines(self) -> list[str]:
         lines = ["n,count"]
@@ -369,12 +359,13 @@ def _product_chunks(vals: np.ndarray, blocks):
 
 
 def _group_products(vals: np.ndarray, blocks, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ns, counts) as int64: each distinct product of the blocks, ascending,
-    with the number of blocks' products equal to it.
+    """(ns, counts) in the key dtype: each distinct product of the blocks,
+    ascending, with the number of blocks' products equal to it.
 
     Every product, and every value and partial product it is made of, is
-    at most x, so below 2**31 they are filled, sorted and compared as int32
-    keys: half the bytes of int64 for the same order.
+    at most x, so below 2**31 they are filled, sorted, compared and
+    returned as int32 keys: half the bytes of int64 for the same order. A
+    count is at most the blocks' total, so it fits the key dtype too.
     """
     key = vals.astype(np.int32 if x < 2**31 else np.int64)
     total = int((blocks[2] - blocks[1]).sum())
@@ -389,7 +380,7 @@ def _group_products(vals: np.ndarray, blocks, x: int) -> tuple[np.ndarray, np.nd
     np.not_equal(products[1:], products[:-1], out=run[1:])
     heads = np.flatnonzero(run)
     del run
-    ns, counts = np.empty(len(heads), np.int64), np.empty(len(heads), np.int64)
+    ns, counts = np.empty(len(heads), key.dtype), np.empty(len(heads), key.dtype)
     ns[:] = products[heads]
     del products
     # run lengths go straight into counts, with no concatenated copy of heads
@@ -398,13 +389,37 @@ def _group_products(vals: np.ndarray, blocks, x: int) -> tuple[np.ndarray, np.nd
     return ns, counts
 
 
+def _slab(vals: np.ndarray, blocks, lo: int, hi: int):
+    """The blocks cut to their products in [lo, hi]: a block's products
+    partial * vals[t] ascend in t, so those in range have t from the first
+    value >= ceil(lo / partial) to the last <= hi // partial."""
+    partial, start, stop = blocks
+    a = np.clip(np.searchsorted(vals, -(-lo // partial)), start, stop)
+    b = np.clip(np.searchsorted(vals, hi // partial, side="right"), start, stop)
+    keep = b > a
+    return partial[keep], a[keep], b[keep]
+
+
+def _slab_groups(vals: np.ndarray, blocks, lo: int, hi: int, x: int):
+    """(ns, counts) of the products of the blocks, all in [lo, hi], in
+    ascending pieces; a range of more than SLAB_CELLS products and more
+    than one n is halved, and a half with no products is skipped."""
+    if lo == hi or int((blocks[2] - blocks[1]).sum()) <= SLAB_CELLS:
+        yield _group_products(vals, blocks, x)
+        return
+    mid = (lo + hi) // 2
+    for a, b in ((lo, mid), (mid + 1, hi)):
+        half = _slab(vals, blocks, a, b)
+        if len(half[0]):
+            yield from _slab_groups(vals, half, a, b, x)
+
+
 def gk_census(
     model: CurveModel,
     k: int,
     x: int,
     table: NpTable | None = None,
     seed: int = 0,
-    budget: int = DEFAULT_CENSUS_BUDGET,
     workers: int = 1,
     cache_dir=None,
 ) -> CensusResult:
@@ -412,9 +427,10 @@ def gk_census(
 
     The candidate primes are fixed before enumeration (Hasse window of
     the largest possible factor); one enumeration lists the product
-    blocks, their total is checked against `budget`, and the blocks fill
-    one flat product array that is sorted and grouped. The result is
-    deterministic for a fixed seed.
+    blocks, which are sorted and grouped slab by slab of n, each slab
+    holding at most SLAB_CELLS products. The slabs give `ns` and `counts`
+    as int32 when x < 2**31, else int64. The result is deterministic for a
+    fixed seed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -430,22 +446,11 @@ def gk_census(
     table = covering_table(table, model, limit, workers=workers, seed=seed, cache_dir=cache_dir)
     nps = table.upto(limit)[1]
     vals = np.sort(nps[nps <= n_cap])
-    blocks = _product_blocks(vals, k, x)
-    total = int((blocks[2] - blocks[1]).sum())
-    if total > budget:
-        lo_b, hi_b = 1, x
-        while lo_b < hi_b:
-            mid = (lo_b + hi_b + 1) // 2
-            if _product_count(vals, k, mid) <= budget:
-                lo_b = mid
-            else:
-                hi_b = mid - 1
-        raise CensusBudgetError(
-            f"census at x={x} needs {total} products (budget {budget}); "
-            f"largest feasible bound is x={lo_b}",
-            feasible_bound=lo_b,
-        )
-    return CensusResult(model, k, x, *_group_products(vals, blocks, x), table)
+    ns, counts = zip(*_slab_groups(vals, _product_blocks(vals, k, x), 1, x, x))
+    if len(ns) == 1:  # one slab is not copied
+        return CensusResult(model, k, x, ns[0], counts[0], table)
+    ns = np.concatenate(ns)  # its pieces go before those of counts are joined
+    return CensusResult(model, k, x, ns, np.concatenate(counts), table)
 
 
 def bk_count(

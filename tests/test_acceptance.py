@@ -174,11 +174,14 @@ def test_c05_census_witness_fast(curve_a, table_a):
 
 @pytest.mark.extended
 def test_c05_census_witness_extended(curve_a, cache_dir):
-    census = gk_census(curve_a, 3, 2_000_000_000, budget=10**9,
-                       cache_dir=cache_dir)
+    census = gk_census(curve_a, 3, 2_000_000_000, cache_dir=cache_dir)
     count = census.count(1_988_217_000)
-    say(f"criterion 5 (extended): census(3, 2e9) count at 1988217000 = {count}")
+    say(f"criterion 5 (extended): census(3, 2e9) count at 1988217000 = {count}; "
+        f"max {census.max_count} at {census.argmax}")
     assert count >= 2
+    # the whole census against the figures of its first full run
+    assert (census.total_products, len(census)) == (229_646_503, 86_488_618)
+    assert (census.max_count, census.argmax, count) == (640, 1_556_755_200, 46)
 
 
 # --- criterion 6: counting-method oracle equivalence ------------------------

@@ -112,6 +112,18 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
+    def test_cofactor_left_after_early_stop(self):
+        # the loop stops once q^2 exceeds the cofactor; what is left is one prime
+        big, p, q = 999_999_937, 46_337, 46_349  # primes; p < sqrt(p * q) < q
+        assert factorize(2 * big) == [(2, 1), (big, 1)]
+        assert factorize(3 * 2 * big) == [(2, 1), (3, 1), (big, 1)]
+        assert factorize(p * p) == [(p, 2)]
+        assert factorize(p**3) == [(p, 3)]
+        assert factorize(4 * p * p) == [(2, 2), (p, 2)]
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+        assert factorize(2**31 - 1) == [(2**31 - 1, 1)]
+        assert factorize(2**31) == [(2, 31)]
+
 
 class TestAdditiveFunctions:
     def test_omega_examples(self):

@@ -50,6 +50,13 @@ class TestUsageErrors:
     def test_malformed_curve(self):
         run_cli("np", "--curve", "1,2", "--prime", "5", expect=64)
 
+    @pytest.mark.parametrize("args", [("census", "--k", "2", "--x", "100"), ("verify-paper",)],
+                             ids=lambda a: a[0])
+    def test_budget_flag_is_gone(self, args, tmp_path):
+        # the census works in slabs of n, with no product budget to set
+        proc = run_cli(*args, "--budget", "10", "--cache", str(tmp_path), expect=64)
+        assert "--budget" in proc.stderr and proc.stdout == ""
+
 
 class TestG1Command:
     def test_json_schema(self):

@@ -8,7 +8,7 @@ import pytest
 from ellnum import arith, search
 from ellnum.arith import loglog, omega, omega_table, primes_in_range
 from ellnum.counting import count_points
-from ellnum.errors import CensusBudgetError, TableError
+from ellnum.errors import TableError
 from ellnum.search import (
     bk_count,
     default_epsilon,
@@ -268,17 +268,6 @@ class TestCensus:
         brute = Counter(n for _, n in table_a5k if n <= 500)
         assert dict(census.items()) == dict(brute)
 
-    def test_budget_error_reports_feasible_bound(self, curve_a, table_a5k):
-        with pytest.raises(CensusBudgetError) as exc:
-            gk_census(curve_a, 2, 10_000, table=table_a5k, budget=10)
-        bound = exc.value.feasible_bound
-        assert 1 <= bound < 10_000
-        retry = gk_census(curve_a, 2, bound, table=table_a5k, budget=10)
-        assert retry.total_products <= 10
-        # the largest x with at most 10 products: one below the 11th smallest product
-        pairs = sorted(n1 * n2 for (_, n1), (_, n2) in combinations(list(table_a5k), 2))
-        assert bound == pairs[10] - 1
-
     def test_short_or_foreign_table_raises(self, curve_a, curve_b, table_a5k):
         # k = 2 at 1e5: factors up to 1e5 / 5, whose Hasse window ends at 20283
         with pytest.raises(TableError) as exc:
@@ -359,7 +348,8 @@ class TestProductKernel:
         arr = np.array(vals, np.int64)
         for k in (2, 3):
             ns, counts = search._group_products(arr, search._product_blocks(arr, k, x), x)
-            assert ns.dtype == np.int64 and counts.dtype == np.int64
+            key = np.int32 if x < 2**31 else np.int64
+            assert ns.dtype == key and counts.dtype == key
             assert dict(zip(ns.tolist(), counts.tolist())) == _brute_products(vals, k, x)
             assert (np.diff(ns) > 0).all()
 
@@ -376,7 +366,7 @@ class TestProductKernel:
     def test_4e6_census_over_several_chunks(self, curve_a, table_a):
         census = gk_census(curve_a, 3, 4_000_000, table=table_a)
         assert census.total_products == 408_472 > 4 * search.FILL_CELLS
-        assert census.ns.dtype == np.int64 and census.counts.dtype == np.int64
+        assert census.ns.dtype == np.int32 and census.counts.dtype == np.int32
         # a pruned triple loop over every table value as the oracle
         x = 4_000_000
         vals = sorted(table_a.nps.tolist())
@@ -393,6 +383,63 @@ class TestProductKernel:
                         break
                     brute[a * b * c] += 1
         assert census.as_dict() == brute
+
+    @pytest.mark.parametrize("k, x", [(2, 10_000), (3, 30_000)])
+    def test_slabs_match_one_slab_and_brute_force(self, curve_a, table_a5k, k, x, monkeypatch):
+        whole = gk_census(curve_a, k, x, table=table_a5k)
+        vals = sorted(v for v in table_a5k.nps.tolist() if v <= x)
+        assert whole.as_dict() == _brute_products(vals, k, x)
+        group = search._group_products
+        slabs = []  # (products, distinct n) of each slab
+
+        def recording(v, blocks, x):
+            ns, counts = group(v, blocks, x)
+            slabs.append((int(counts.sum()), len(ns)))
+            return ns, counts
+
+        monkeypatch.setattr(search, "_group_products", recording)
+        for cells in (1, 7, 1000):
+            slabs.clear()
+            monkeypatch.setattr(search, "SLAB_CELLS", cells)
+            sliced = gk_census(curve_a, k, x, table=table_a5k)
+            assert len(slabs) > 1 and sum(p for p, _ in slabs) == whole.total_products
+            assert all(p <= cells or n == 1 for p, n in slabs)
+            assert sliced.ns.dtype == sliced.counts.dtype == whole.ns.dtype == np.int32
+            assert np.array_equal(sliced.ns, whole.ns) and np.array_equal(sliced.counts, whole.counts)
+
+    def test_slab_edges_on_attained_n(self, table_a5k):
+        x = 10_000
+        vals = np.sort(table_a5k.nps[table_a5k.nps <= x])
+        blocks = search._product_blocks(vals, 2, x)
+        whole = search._group_products(vals, blocks, x)
+        brute = _brute_products(vals.tolist(), 2, x)
+        # a slab of one attained n holds exactly its G_2(n) products
+        for n, g in brute.items():
+            _, start, stop = search._slab(vals, blocks, n, n)
+            assert int((stop - start).sum()) == g, n
+        # an edge just below or on an attained n neither splits nor doubles it
+        for n in sorted(brute)[:: len(brute) // 25]:
+            for edge in (n - 1, n):
+                pieces = [search._group_products(vals, search._slab(vals, blocks, lo, hi), x)
+                          for lo, hi in ((1, edge), (edge + 1, x))]
+                for i in (0, 1):
+                    assert np.array_equal(np.concatenate([p[i] for p in pieces]), whole[i])
+
+    def test_one_n_slab_over_the_limit_stays_whole(self, monkeypatch):
+        # 6 = 1*6 = 2*3 and 12 = 2*6 = 3*4: two products each, against slabs of one
+        vals = np.array([1, 2, 3, 4, 6], np.int64)
+        monkeypatch.setattr(search, "SLAB_CELLS", 1)
+        pieces = list(search._slab_groups(vals, search._product_blocks(vals, 2, 12), 1, 12, 12))
+        assert [(ns.tolist(), counts.tolist()) for ns, counts in pieces] == [
+            ([2], [1]), ([3], [1]), ([4], [1]), ([6], [2]), ([8], [1]), ([12], [2])
+        ]
+
+    def test_count_above_int32_is_zero(self, curve_a, table_a5k):
+        census = gk_census(curve_a, 2, 10_000, table=table_a5k)
+        assert census.ns.dtype == np.int32
+        assert census.count(int(census.ns[-1])) >= 1
+        for n in (0, -1, 10_001, 2**31 - 1, 2**31, 2**40, -(2**40)):
+            assert census.count(n) == 0
 
 
 def _brute_bk(model, k, x, epsilon, table):
