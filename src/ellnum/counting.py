@@ -153,28 +153,33 @@ def count_bsgs(rc: ReducedCurve, seed: int = 0) -> int:
     """Group order via Hasse-interval order finding; deterministic result.
 
     Candidate sets from successive random points (then twist points) are
-    intersected until unique. If the attempt budget runs out, a prime in
-    the charsum range is counted by count_charsum; above it the call
-    raises EllnumError rather than allocate p-sized arrays.
+    intersected until unique. |E(Q)[2]| = t divides the order of the curve
+    and of its twist, so a point P gives the n in [lo / t, hi / t] with
+    n(tP) = O, and its candidates are their multiples tn. If the attempt
+    budget runs out, a prime in the charsum range is counted by
+    count_charsum; above it the call raises EllnumError rather than
+    allocate p-sized arrays.
     """
     p = rc.p
     if p < 5:
         raise ValueError("count_bsgs needs p >= 5")
     lo, hi = hasse_bounds(p)
+    t = rc.model.two_torsion_order
     rng = random.Random((seed << 24) ^ p)
+
+    def multiples(curve: ReducedCurve, P: Point) -> set[int]:
+        return {t * n for n in _order_multiples_in_interval(curve, scalar_mul(curve, t, P), -(-lo // t), hi // t)}
+
     candidates: set[int] | None = None
     for _ in range(BSGS_POINT_BUDGET):
-        P = _random_point(rc, rng)
-        found = _order_multiples_in_interval(rc, P, lo, hi)
+        found = multiples(rc, _random_point(rc, rng))
         candidates = found if candidates is None else candidates & found
         if len(candidates) == 1:
             return candidates.pop()
     twist = _twist_curve(rc)
     for _ in range(BSGS_TWIST_BUDGET):
-        Q = _random_point(twist, rng)
-        found = _order_multiples_in_interval(twist, Q, lo, hi)
         # twist order m' determines the curve order 2p + 2 - m'
-        mirrored = {2 * p + 2 - m for m in found}
+        mirrored = {2 * p + 2 - m for m in multiples(twist, _random_point(twist, rng))}
         candidates = mirrored if candidates is None else candidates & mirrored
         if len(candidates) == 1:
             return candidates.pop()
@@ -194,20 +199,22 @@ def count_points(model: CurveModel, p, seed: int = 0, within: tuple[int, int] | 
     larger one runs as a lane: it draws a point on E or on its quadratic
     twist, whose x-only baby-step/giant-step gives a divisor of that
     group's order (_lane_divisors), until one N in the Hasse interval fits
-    all the divisors found (_unique_order). Lanes the first point leaves
-    open get LANE_POINTS - 1 more, half on each side, in one retry round;
-    count_bsgs takes the rest and any prime past LANE_PRIME_CAP.
+    all the divisors found (_unique_order). |E(Q)[2]| = t divides the
+    order on either side, so a lane looks only at multiples of t. Lanes
+    the first point leaves open get LANE_POINTS - 1 more, half on each
+    side, in one retry round; count_bsgs takes the rest and any prime past
+    LANE_PRIME_CAP.
 
     With within = (a, b), a batch gives N_p where a <= N_p <= b and 0
     elsewhere (N_p >= 1, so 0 is no count). The first point then looks
     only where N_p may lie: [a, b] on E, [2p + 2 - b, 2p + 2 - a] on the
     twist, cut to the Hasse interval (unless that keeps over half of it).
     By Lagrange's theorem a clean lane that finds no multiple of ord(P)
-    there, or whose cut is empty, has N_p outside and is done. A lane with
-    a hit, or a dirty one, runs that point again over its whole Hasse
-    interval, in the blocks of the retry round, as a multiple found in a
-    cut need not be the group order; from there it takes the same points
-    as without a range.
+    there, or whose cut holds no multiple of t, has N_p outside and is
+    done. A lane with a hit, or a dirty one, runs that point again over
+    its whole Hasse interval, in the blocks of the retry round, as a
+    multiple found in a cut need not be the group order; from there it
+    takes the same points as without a range.
     """
     if isinstance(p, (int, np.integer)):
         rc = ReducedCurve.reduce(model, int(p))
@@ -239,8 +246,9 @@ def _lane_counts(model: CurveModel, p: np.ndarray, seed: int, within: tuple[int,
     s = np.sqrt(4.0 * p).astype(np.int64)  # hasse_bounds, exact after the two corrections
     s += ((s + 1) * (s + 1) <= 4 * p).astype(np.int64) - (s * s > 4 * p)
     lo, hi = p + 1 - s, p + 1 + s
-    # known divisors of N_p (dE) and of the twist's order 2p + 2 - N_p (dT)
-    dE, dT, res = np.ones_like(p), np.ones_like(p), np.zeros_like(p)
+    # known divisors of N_p (dE) and of the twist's order 2p + 2 - N_p (dT), from |E(Q)[2]| on
+    t = model.two_torsion_order
+    dE, dT, res = np.full_like(p, t), np.full_like(p, t), np.zeros_like(p)
     outside = np.zeros(len(p), dtype=bool)
     # a lane's next step: 0 its first point on the cut, 1 that point on the whole
     # Hasse interval, 2 the retry round's points, 3 none left
@@ -267,11 +275,12 @@ def _lane_counts(model: CurveModel, p: np.ndarray, seed: int, within: tuple[int,
             on = (stage[idx] == 0) & (2 * (c_hi - c_lo) <= cut_hi - cut_lo)
             cut_lo, cut_hi = np.where(on, c_lo, cut_lo), np.where(on, c_hi, cut_hi)
         d = np.full(len(idx), -1)
-        run = np.flatnonzero(cut_lo <= cut_hi)
+        n_lo, n_hi = -(-cut_lo // t), cut_hi // t  # the lanes search n = N / t
+        run = np.flatnonzero(n_lo <= n_hi)
         if len(run):
-            block = LANE_CELLS // _layout(int((cut_hi - cut_lo)[run].max()))[3]  # lanes at the widest step rows
+            block = LANE_CELLS // _layout(int((n_hi - n_lo)[run].max()))[3]  # lanes at the widest step rows
             blocks = np.split(run, list(range(block, len(run), block)))
-            d[run] = np.concatenate([_lane_divisors(xl.take(idx[j]), x0[j], cut_lo[j], cut_hi[j]) for j in blocks])
+            d[run] = np.concatenate([_lane_divisors(xl.take(idx[j]), x0[j], cut_lo[j], cut_hi[j], t) for j in blocks])
         # a clean lane with no multiple of ord(P) in its cut has N_p outside; one with
         # a hit, or a dirty one, runs that point again, as a hit need not be the order
         cut = (cut_lo != lo[idx]) | (cut_hi != hi[idx])
@@ -339,10 +348,10 @@ def _invert_rows(Z: np.ndarray, p: np.ndarray) -> None:
 
 
 def _is_prime_lanes(n: np.ndarray) -> np.ndarray:
-    """Miller-Rabin to the bases 2, 3, 5, 7, lane-wise; exact for 7 < n < 3215031751."""
+    """Miller-Rabin to the bases 2, 7, 61, lane-wise; exact for 61 < n < 4759123141."""
     low = (n - 1) & (1 - n)  # the lowest set bit of n - 1 = d * 2^s, d odd
     d, s = (n - 1) // low, np.log2(low).astype(np.int64)
-    x = _powmod(np.array([[2], [3], [5], [7]], dtype=np.int64), d, n)
+    x = _powmod(np.array([[2], [7], [61]], dtype=np.int64), d, n)
     passed = (x == 1) | (x == n - 1)
     for r in range(1, int(s.max())):
         x = x * x % n
@@ -402,42 +411,50 @@ class _XLine:
 
 
 def _layout(w: int) -> tuple[int, int, int, int]:
-    """(m, step, g, rows) of _lane_divisors for the Hasse width w: baby rows
+    """(m, step, g, rows) of _lane_divisors for the width w of its n-range: baby rows
     0..m, then giant rows from g = m + 1 whose windows [c_t - m, c_t + m],
     step = 2m + 1 apart, tile [lo, hi] from c_0 <= lo + m."""
     m = math.isqrt(w) + 1
     return m, 2 * m + 1, m + 1, m + 1 + w // (2 * m + 1) + 2
 
 
-def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per lane, the gcd of the multiples of ord(P), x(P) = x0, in [lo, hi]:
-    -1 where a clean lane finds none there, 0 where the lane is dirty.
+def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int = 1) -> np.ndarray:
+    """Per lane, the gcd of the multiples of lcm(t, ord(P)), x(P) = x0, in
+    [lo, hi]: -1 where a clean lane finds none there, 0 where the lane is
+    dirty. t is a power of 2 dividing the order of the group that holds P.
 
-    Baby steps x(iP), i <= m + 1, meet giant steps x(c_t P) at the centres
-    c_t = (t0 + t)(2m + 1), walked from S = (2m + 1)P, where c_t -/+ i kills
-    P. A lane is clean when no baby step is at infinity, no step has x = 0,
-    S is neither, and the baby x are distinct: then every step is exact,
-    and the c -/+ i found in [lo, hi], with the c_t at infinity, are all
-    the multiples of ord(P) there. A ladder checks c - i; c + i kills when
-    c - i does not, or when iP is 2-torsion. Their gcd is ord(P) for two or
-    more; one alone is the group order when [lo, hi] is the Hasse interval.
-    Baby steps double, so the first degenerate one is exact; keys need
+    The search is for the n in [ceil(lo / t), floor(hi / t)] with nQ = O,
+    Q = tP (log2 t doublings), and returns tn: nQ = O exactly when
+    lcm(t, ord(P)) divides tn. Baby steps x(iQ), i <= m + 1, meet giant
+    steps x(c_j Q) at the centres c_j = (t0 + j)(2m + 1), walked from
+    S = (2m + 1)Q, where c_j -/+ i kills Q. A lane is clean when no baby
+    step is at infinity (Q = O included), no step has x = 0, S is neither,
+    and the baby x are distinct: then every step is exact, and the c -/+ i
+    found in range, with the c_j at infinity, are all the multiples of
+    ord(Q) there. A ladder checks c - i; c + i kills when c - i does not,
+    or when iQ is 2-torsion. Their gcd is ord(Q) for two or more; one
+    alone is the group order over t when [lo, hi] is the Hasse interval.
+    Baby steps double, so the first degenerate one is exact; Q stays
+    projective until the inversion of the step rows; keys need
     lanes * rows < 2^31.
     """
     p = xl.p
     L = len(p)
-    m, step, g, rows = _layout(int((hi - lo).max()))
-    one = np.ones_like(x0)
+    lo, hi = -(-lo // t), hi // t
+    m, step, g, rows = _layout(int((hi - lo).max(initial=0)))
+    z0 = np.ones_like(x0)
+    for _ in range(t.bit_length() - 1):
+        x0, z0 = xl.dbl(x0, z0)
     X, Z = np.empty((rows, L), dtype=np.int64), np.empty((rows, L), dtype=np.int64)
-    X[0], Z[0] = x0, one
-    X[1], Z[1] = xl.dbl(x0, one)
+    X[0], Z[0] = x0, z0
+    X[1], Z[1] = xl.dbl(x0, z0)
     k = 2
-    while k < g:  # rows 0..k-1 hold x(P)..x(kP); (k + j)P = kP + jP, with difference (k - j)P
+    while k < g:  # rows 0..k-1 hold x(Q)..x(kQ); (k + j)Q = kQ + jQ, with difference (k - j)Q
         n = min(k - 1, g - k, 16)  # at most 16 rows a stage keeps the temporaries small
         D = slice(k - 1 - n, k - 1)
         X[k : k + n], Z[k : k + n] = xl.add(X[k - 1], Z[k - 1], X[:n], Z[:n], X[D][::-1], Z[D][::-1])
         k += n
-    SX, SZ = xl.add(X[m], Z[m], X[m - 1], Z[m - 1], x0, one)
+    SX, SZ = xl.add(X[m], Z[m], X[m - 1], Z[m - 1], x0, z0)
     t0 = (lo + m) // step
     (X[g], Z[g]), (X[g + 1], Z[g + 1]) = xl.ladder(SX, SZ, t0)
     S2 = xl.dbl(SX, SZ)
@@ -472,9 +489,9 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     hit = np.flatnonzero((first < g) & (row >= g))
     # rows at infinity and dirty lanes are left out
     hit = hit[~at_inf[row[hit], lx[hit] >> 31] & ~dirty[lx[hit] >> 31]]
-    lane, t, i, xi = lx[hit] >> 31, row[hit] - g, first[hit] + 1, lx[hit] & 0x7FFFFFFF
-    c = (t0[lane] + t) * step
-    minus = xl.take(lane).ladder(x0[lane], one[lane], np.abs(c - i))[0][1] == 0
+    lane, j, i, xi = lx[hit] >> 31, row[hit] - g, first[hit] + 1, lx[hit] & 0x7FFFFFFF
+    c = (t0[lane] + j) * step
+    minus = xl.take(lane).ladder(x0[lane], z0[lane], np.abs(c - i))[0][1] == 0
     plus = ~minus | (((xi * xi % p[lane] + xl.A[lane]) * xi + xl.B[lane]) % p[lane] == 0)
     zero = np.flatnonzero(at_inf[g:].ravel())
     v_lane = np.concatenate([lane[minus], lane[plus], zero % L])
@@ -483,6 +500,7 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     d = np.zeros(L, dtype=np.int64)
     np.gcd.at(d, v_lane[keep], v[keep])
     d[(d == 0) & ~dirty] = -1
+    d[d > 0] *= t
     return d
 
 

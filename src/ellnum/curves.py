@@ -10,7 +10,9 @@ p = 2 and p = 3 need no special casing anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import is_prime
 from .errors import BadReductionError, CurveSpecError, SingularCurveError
@@ -52,6 +54,39 @@ class CurveModel:
     @property
     def coefficients(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    @cached_property
+    def two_torsion_order(self) -> int:
+        """|E(Q)[2]|, which divides N_p and the twist's order 2p + 2 - N_p at
+        every odd good p: 1 plus the rational roots x of 4x^3 + b2 x^2 +
+        2 b4 x + b6, the x of the points with 2y + a1 x + a3 = 0.
+
+        y = 4x turns them into the integer roots of the monic
+        g(y) = y^3 + b2 y^2 + 8 b4 y + 16 b6, all with |y| < bound (Cauchy).
+        g is monotone between its critical points (-b2 -/+ sqrt(D)) / 3,
+        D = b2^2 - 24 b4; the few integers that may lie on either side of
+        one are tried, and each monotone run between them is bisected.
+        """
+        e2, e1, e0 = self.b2, 8 * self.b4, 16 * self.b6
+
+        def g(y: int) -> int:
+            return ((y + e2) * y + e1) * y + e0
+
+        bound = 1 + max(abs(e2), abs(e1), abs(e0))
+        runs, tried = [(-bound, bound, 1)], []
+        if 3 * e1 < e2 * e2:  # two critical points: g rises, falls, rises
+            s = math.isqrt(e2 * e2 - 3 * e1)
+            u, v = (-e2 - s - 1) // 3, (-e2 + s) // 3  # u < the first point < u + 2, v <= the second < v + 2
+            runs = [(-bound, u, 1), (u + 2, v, -1), (v + 2, bound, 1)]
+            tried = [u + 1, v + 1]
+        roots = {y for y in tried if g(y) == 0}
+        for lo, hi, sign in runs:
+            while lo < hi:  # the first y with sign * g(y) >= 0
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if sign * g(mid) >= 0 else (mid + 1, hi)
+            if g(lo) == 0:
+                roots.add(lo)
+        return 1 + len(roots)
 
     def spec_text(self) -> str:
         """The canonical "a1,a2,a3,a4,a6" form of this model."""

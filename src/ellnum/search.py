@@ -358,16 +358,12 @@ def _product_chunks(vals: np.ndarray, blocks):
         yield np.repeat(partial[b0:b1].astype(vals.dtype), lens) * vals[t]
 
 
-def _group_products(vals: np.ndarray, blocks, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ns, counts) in the key dtype: each distinct product of the blocks,
-    ascending, with the number of blocks' products equal to it.
-
-    Every product, and every value and partial product it is made of, is
-    at most x, so below 2**31 they are filled, sorted, compared and
-    returned as int32 keys: half the bytes of int64 for the same order. A
-    count is at most the blocks' total, so it fits the key dtype too.
+def _group_products(key: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(ns, counts) in the dtype of key, the sorted values: each distinct
+    product of the blocks, ascending, with the number of blocks' products
+    equal to it. A count is at most the blocks' total, so it fits that
+    dtype whenever the products do.
     """
-    key = vals.astype(np.int32 if x < 2**31 else np.int64)
     total = int((blocks[2] - blocks[1]).sum())
     products = np.empty(total, key.dtype)
     cursor = 0
@@ -389,29 +385,27 @@ def _group_products(vals: np.ndarray, blocks, x: int) -> tuple[np.ndarray, np.nd
     return ns, counts
 
 
-def _slab(vals: np.ndarray, blocks, lo: int, hi: int):
-    """The blocks cut to their products in [lo, hi]: a block's products
-    partial * vals[t] ascend in t, so those in range have t from the first
-    value >= ceil(lo / partial) to the last <= hi // partial."""
+def _split(key: np.ndarray, blocks, edge: int):
+    """The blocks cut into those of their products <= edge and those above:
+    a block's products partial * key[t] ascend in t, so the first above
+    edge is at the first value > edge // partial. Empty blocks are dropped."""
     partial, start, stop = blocks
-    a = np.clip(np.searchsorted(vals, -(-lo // partial)), start, stop)
-    b = np.clip(np.searchsorted(vals, hi // partial, side="right"), start, stop)
-    keep = b > a
-    return partial[keep], a[keep], b[keep]
+    cut = np.clip(np.searchsorted(key, (edge // partial).astype(key.dtype), side="right"), start, stop)
+    below, above = cut > start, stop > cut
+    return (partial[below], start[below], cut[below]), (partial[above], cut[above], stop[above])
 
 
-def _slab_groups(vals: np.ndarray, blocks, lo: int, hi: int, x: int):
+def _slab_groups(key: np.ndarray, blocks, lo: int, hi: int):
     """(ns, counts) of the products of the blocks, all in [lo, hi], in
     ascending pieces; a range of more than SLAB_CELLS products and more
     than one n is halved, and a half with no products is skipped."""
     if lo == hi or int((blocks[2] - blocks[1]).sum()) <= SLAB_CELLS:
-        yield _group_products(vals, blocks, x)
+        yield _group_products(key, blocks)
         return
     mid = (lo + hi) // 2
-    for a, b in ((lo, mid), (mid + 1, hi)):
-        half = _slab(vals, blocks, a, b)
+    for half, a, b in zip(_split(key, blocks, mid), (lo, mid + 1), (mid, hi)):
         if len(half[0]):
-            yield from _slab_groups(vals, half, a, b, x)
+            yield from _slab_groups(key, half, a, b)
 
 
 def gk_census(
@@ -446,7 +440,10 @@ def gk_census(
     table = covering_table(table, model, limit, workers=workers, seed=seed, cache_dir=cache_dir)
     nps = table.upto(limit)[1]
     vals = np.sort(nps[nps <= n_cap])
-    ns, counts = zip(*_slab_groups(vals, _product_blocks(vals, k, x), 1, x, x))
+    # every product, and every value and partial product it is made of, is at most x,
+    # so below 2**31 they are filled, sorted and grouped as int32 keys: half the bytes
+    key = vals.astype(np.int32) if x < 2**31 else vals
+    ns, counts = zip(*_slab_groups(key, _product_blocks(vals, k, x), 1, x))
     if len(ns) == 1:  # one slab is not copied
         return CensusResult(model, k, x, ns[0], counts[0], table)
     ns = np.concatenate(ns)  # its pieces go before those of counts are joined

@@ -27,6 +27,24 @@ from ellnum.table import build_table
 # small order are common.
 CM_SPEC = "0,0,0,-1,0"
 
+# Curves with one rational 2-torsion point: y^2 = x^3 + 1 and y^2 + xy = x^3 - x.
+TWO_TORSION_SPECS = ["0,0,0,0,1", "1,0,0,-1,0"]
+
+
+def strong_probable_prime(n, a):
+    """n passes the Miller-Rabin test to the base a; n odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
 
 def good_primes(model, lo, hi):
     return [p for p in primes_in_range(lo, hi) if model.disc % p != 0]
@@ -44,11 +62,11 @@ def spy_lane_blocks(monkeypatch):
     blocks = []
     real = counting._lane_divisors
 
-    def spy(xl, x0, lo, hi):
-        w = int((hi - lo).max())
+    def spy(xl, x0, lo, hi, t=1):
+        w = int((hi // t + lo // -t).max())  # the width of [ceil(lo / t), floor(hi / t)]
         m = math.isqrt(w) + 1
         blocks.append((len(x0), m + 1 + w // (2 * m + 1) + 2))
-        return real(xl, x0, lo, hi)
+        return real(xl, x0, lo, hi, t)
 
     monkeypatch.setattr(counting, "_lane_divisors", spy)
     return blocks
@@ -126,6 +144,15 @@ class TestBsgs:
     def test_seed_does_not_change_the_order(self, curve_a, seed):
         assert count_bsgs(ReducedCurve.reduce(curve_a, 1009), seed=seed) == 1057
 
+    @pytest.mark.parametrize("spec", [CM_SPEC, *TWO_TORSION_SPECS])
+    def test_matches_charsum_where_two_torsion_divides_the_order(self, spec):
+        # the candidates are the multiples of |E(Q)[2]| only
+        model = parse_curve(spec)
+        assert model.two_torsion_order > 1
+        for p in good_primes(model, 5, 1200):
+            rc = ReducedCurve.reduce(model, p)
+            assert count_bsgs(rc) == count_charsum(rc), p
+
     def test_spent_budget_raises_above_the_charsum_range(self, curve_a, monkeypatch):
         monkeypatch.setattr(counting, "BSGS_POINT_BUDGET", 0)
         monkeypatch.setattr(counting, "BSGS_TWIST_BUDGET", 0)
@@ -166,7 +193,7 @@ class TestDispatcher:
 class TestLanes:
     """count_points on a batch against the scalar paths it stands in for."""
 
-    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", "0,0,3,-1,2", CM_SPEC])
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", "0,0,3,-1,2", CM_SPEC, *TWO_TORSION_SPECS])
     @pytest.mark.parametrize("floor", [CHARSUM_THRESHOLD, 229])
     def test_matches_charsum_to_2e4(self, spec, floor, monkeypatch):
         # at the default floor 229, the bound of Mestre's theorem, the lanes
@@ -225,7 +252,7 @@ class TestLanes:
     def test_every_point_gives_a_divisor_of_its_group_order(self, spec):
         # every x0 of small primes, where points of small order and steps
         # with x = 0 are common: a lane returns a divisor of N_p or of the
-        # twist's order, or 0
+        # twist's order, or 0, searching all multiples or those of |E(Q)[2]|
         model = parse_curve(spec)
         for q in good_primes(model, 230, 700):
             xl = short_model_lanes(model, np.full(q - 1, q, dtype=np.int64))
@@ -233,11 +260,12 @@ class TestLanes:
             f = ((x0 * x0 % q + xl.A) * x0 + xl.B) % q
             on = np.flatnonzero(f)
             lo, hi = hasse_bounds(q)
-            d = counting._lane_divisors(xl.take(on), x0[on], np.full(len(on), lo), np.full(len(on), hi))
             n = count_charsum(ReducedCurve.reduce(model, q))
             order = [2 * q + 2 - n if pow(int(v), (q - 1) // 2, q) != 1 else n for v in f[on]]
-            assert d.any()
-            assert all(e == 0 or o % e == 0 for e, o in zip(d.tolist(), order)), q
+            for t in {1, model.two_torsion_order}:
+                d = counting._lane_divisors(xl.take(on), x0[on], np.full(len(on), lo), np.full(len(on), hi), t)
+                assert d.any()
+                assert all(e == 0 or o % e == 0 for e, o in zip(d.tolist(), order)), (q, t)
 
     @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,0,0,0,1"])
     def test_repeated_baby_steps_dirty_the_lane(self, spec):
@@ -260,6 +288,17 @@ class TestLanes:
             assert not d[repeats].any(), q
             seen += int(repeats.sum())
         assert seen > 100
+
+    def test_miller_rabin_bases_agree_with_is_prime(self):
+        # every odd n in the lane range to 2e5, and the strong pseudoprimes to
+        # the base 2 below 1e6, which the bases 7 and 61 must catch
+        n = np.arange(LANE_PRIME_FLOOR + 2, 200_001, 2, dtype=np.int64)
+        assert counting._is_prime_lanes(n).tolist() == [is_prime(v) for v in n.tolist()]
+        primes = set(primes_up_to(1_000_000))
+        fermat = [v for v in range(3, 1_000_000, 2) if pow(2, v - 1, v) == 1 and v not in primes]
+        psp = [v for v in fermat if strong_probable_prime(v, 2)]
+        assert len(psp) == 46 and psp[0] == 2047
+        assert not counting._is_prime_lanes(np.array(psp, dtype=np.int64)).any()
 
     def test_rare_scalar_fallbacks_on_the_cm_curve(self, monkeypatch):
         # 27 primes went to scalar BSGS when each lane tried two points in two rounds
@@ -343,7 +382,7 @@ class TestWithin:
     """count_points(..., within=(a, b)) against the full count, masked to [a, b]."""
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,-1,1,-10,-20"])
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,-1,1,-10,-20", *TWO_TORSION_SPECS])
     def test_equals_the_masked_full_count(self, spec, seed):
         model = parse_curve(spec)
         for size in (230, 5_000, 1_000_000, 10_000_000, 57_000_000):
@@ -367,17 +406,30 @@ class TestWithin:
                 want = [v if a <= v <= b else 0 for v in full]
                 assert count_points(model, ps, seed=seed, within=(a, b)) == want, (size, a, b)
 
+    def test_g1_off_the_multiples_of_two_torsion_runs_no_lane(self, monkeypatch):
+        # 4 divides N_p on the CM curve, so no prime has N_p = n for n = 2 mod 4
+        model = parse_curve(CM_SPEC)
+        blocks = spy_lane_blocks(monkeypatch)
+        for n in (1_000_002, 10_000_006):
+            assert g1(model, n).primes == ()
+            assert blocks == []
+            full = count_points(model, good_primes(model, *hasse_prime_window(n)))
+            assert n not in full and all(v % 4 == 0 for v in full)
+            blocks.clear()
+        assert g1(model, 10_000_008).primes != () and blocks
+
     def test_ranges_with_no_lane(self, curve_a):
         ps = good_primes(curve_a, 2, 240)
         full = count_points(curve_a, ps)
         assert count_points(curve_a, ps, within=(100, 200)) == [v if 100 <= v <= 200 else 0 for v in full]
         assert count_points(curve_a, [], within=(1, 5)) == []
 
-    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,0,0,0,1"])
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, *TWO_TORSION_SPECS])
     def test_a_clean_lane_says_none_only_when_no_multiple_lies_in_range(self, spec):
-        # every x0 of small primes, each with a random [a, b] inside its
-        # Hasse interval: -1 exactly when no multiple of ord(P) lies there
+        # every x0 of small primes, each with a random [a, b] inside its Hasse
+        # interval: -1 exactly when no multiple of lcm(|E(Q)[2]|, ord(P)) lies there
         model = parse_curve(spec)
+        t = model.two_torsion_order
         rng = np.random.default_rng(5)
         nones = hits = 0
         for q in good_primes(model, 231, 699):
@@ -391,10 +443,10 @@ class TestWithin:
             b = np.minimum(a + rng.integers(0, [1, 8, hi - lo + 1][q % 3], len(x0)), hi)
             n = count_charsum(ReducedCurve.reduce(model, q))
             twist = np.array([pow(int(v), (q - 1) // 2, q) != 1 for v in f])
-            o = orders(xl, x0, np.where(twist, 2 * q + 2 - n, n))
+            o = np.lcm(t, orders(xl, x0, np.where(twist, 2 * q + 2 - n, n)))
             first, last = (a + o - 1) // o * o, b // o * o
             want = np.where(first > last, -1, np.where(first == last, first, o))
-            d = counting._lane_divisors(xl, x0, a, b)
+            d = counting._lane_divisors(xl, x0, a, b, t)
             assert ((d == want) | (d == 0)).all(), q
             nones += int((d == -1).sum())
             hits += int((d > 0).sum())

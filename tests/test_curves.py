@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellnum.counting import count_points
+from ellnum.arith import primes_up_to
+from ellnum.counting import count_charsum, count_naive, count_points
 from ellnum.curves import (
     CurveModel,
     ReducedCurve,
@@ -59,6 +60,57 @@ class TestParse:
             return
         assert 4 * m.b8 == m.b2 * m.b6 - m.b4 * m.b4
         assert m.disc == (-m.b2**2 * m.b8 - 8 * m.b4**3 - 27 * m.b6**2 + 9 * m.b2 * m.b4 * m.b6)
+
+
+def from_roots(s, t, a2, a4, a6):
+    """y^2 + 2sxy + 2ty = x^3 + (a2 - s^2)x^2 + (a4 - 2st)x + a6 - t^2, which
+    y -> y + sx + t takes to y^2 = x^3 + a2 x^2 + a4 x + a6: same 2-torsion."""
+    return CurveModel.from_coefficients(2 * s, a2 - s * s, 2 * t, a4 - 2 * s * t, a6 - t * t)
+
+
+def cubic(*roots):
+    """(a2, a4, a6) of prod (x - r) over three roots."""
+    r1, r2, r3 = roots
+    return -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+
+
+# (curve, |E(Q)[2]|): no, one and three rational 2-torsion points, with a1, a3 != 0
+# and coefficients past 2^64 among them
+TWO_TORSION_CURVES = [
+    (parse_curve("0,0,1,-1,0"), 1),  # 37a
+    (parse_curve("0,-1,1,-10,-20"), 1),  # 11a, whose Z/5 has no 2-torsion
+    (parse_curve("7,-3,11,123456789012,-987654321098765"), 1),
+    (parse_curve("0,0,0,0,1"), 2),
+    (parse_curve("1,0,0,-1,0"), 2),
+    (parse_curve("1,0,1,4,-6"), 2),  # 14a1, torsion Z/6
+    (from_roots(-7, 10**12 + 39, 10**10 + 1 - 271828, 10**15 + 3 - 271828 * (10**10 + 1), -271828 * (10**15 + 3)), 2),
+    (parse_curve("0,0,0,-1,0"), 4),
+    (parse_curve("1,1,1,-10,-10"), 4),  # 15a1, torsion Z/4 x Z/2
+    (from_roots(3, -(10**11) + 5, *cubic(10**9 + 7, -3 * 10**9, 123456789)), 4),
+]
+
+
+class TestTwoTorsion:
+    def test_matches_the_rational_roots_of_sympy(self):
+        from sympy import Poly, roots, symbols
+
+        x = symbols("x")
+        for model, want in TWO_TORSION_CURVES:
+            cubic_x = Poly(4 * x**3 + model.b2 * x**2 + 2 * model.b4 * x + model.b6, x)
+            assert model.two_torsion_order == 1 + len(roots(cubic_x, filter="Q")) == want, model
+
+    @given(st.tuples(*[st.integers(-10**6, 10**6)] * 3), st.integers(-50, 50), st.integers(-10**6, 10**6))
+    def test_full_two_torsion_from_three_integer_roots(self, rs, s, t):
+        if len(set(rs)) == 3:
+            assert from_roots(s, t, *cubic(*rs)).two_torsion_order == 4
+
+    def test_divides_every_count_and_twist_count_to_2e4(self):
+        for model, t in [(m, t) for m, t in TWO_TORSION_CURVES if t > 1]:
+            for p in primes_up_to(20_000)[1:]:
+                if model.disc % p:
+                    rc = ReducedCurve.reduce(model, p)
+                    n = count_naive(rc) if p == 3 else count_charsum(rc)
+                    assert n % t == 0 and (2 * p + 2 - n) % t == 0, (model, p)
 
 
 class TestGoodPrimes:

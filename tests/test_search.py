@@ -346,9 +346,9 @@ class TestProductKernel:
         monkeypatch.setattr(search, "FILL_CELLS", fill_cells)
         vals = [1, 2, 3, 7, 46340, 46340, 46341, 65536, 2**30 - 1, 2**30, 2**31 - 1, 2**31]
         arr = np.array(vals, np.int64)
+        key = np.int32 if x < 2**31 else np.int64
         for k in (2, 3):
-            ns, counts = search._group_products(arr, search._product_blocks(arr, k, x), x)
-            key = np.int32 if x < 2**31 else np.int64
+            ns, counts = search._group_products(arr.astype(key), search._product_blocks(arr, k, x))
             assert ns.dtype == key and counts.dtype == key
             assert dict(zip(ns.tolist(), counts.tolist())) == _brute_products(vals, k, x)
             assert (np.diff(ns) > 0).all()
@@ -392,8 +392,8 @@ class TestProductKernel:
         group = search._group_products
         slabs = []  # (products, distinct n) of each slab
 
-        def recording(v, blocks, x):
-            ns, counts = group(v, blocks, x)
+        def recording(key, blocks):
+            ns, counts = group(key, blocks)
             slabs.append((int(counts.sum()), len(ns)))
             return ns, counts
 
@@ -411,17 +411,16 @@ class TestProductKernel:
         x = 10_000
         vals = np.sort(table_a5k.nps[table_a5k.nps <= x])
         blocks = search._product_blocks(vals, 2, x)
-        whole = search._group_products(vals, blocks, x)
+        whole = search._group_products(vals, blocks)
         brute = _brute_products(vals.tolist(), 2, x)
-        # a slab of one attained n holds exactly its G_2(n) products
+        # the products above n - 1 and up to n are exactly the G_2(n) products of n
         for n, g in brute.items():
-            _, start, stop = search._slab(vals, blocks, n, n)
+            _, start, stop = search._split(vals, search._split(vals, blocks, n - 1)[1], n)[0]
             assert int((stop - start).sum()) == g, n
         # an edge just below or on an attained n neither splits nor doubles it
         for n in sorted(brute)[:: len(brute) // 25]:
             for edge in (n - 1, n):
-                pieces = [search._group_products(vals, search._slab(vals, blocks, lo, hi), x)
-                          for lo, hi in ((1, edge), (edge + 1, x))]
+                pieces = [search._group_products(vals, half) for half in search._split(vals, blocks, edge)]
                 for i in (0, 1):
                     assert np.array_equal(np.concatenate([p[i] for p in pieces]), whole[i])
 
@@ -429,7 +428,7 @@ class TestProductKernel:
         # 6 = 1*6 = 2*3 and 12 = 2*6 = 3*4: two products each, against slabs of one
         vals = np.array([1, 2, 3, 4, 6], np.int64)
         monkeypatch.setattr(search, "SLAB_CELLS", 1)
-        pieces = list(search._slab_groups(vals, search._product_blocks(vals, 2, 12), 1, 12, 12))
+        pieces = list(search._slab_groups(vals, search._product_blocks(vals, 2, 12), 1, 12))
         assert [(ns.tolist(), counts.tolist()) for ns, counts in pieces] == [
             ([2], [1]), ([3], [1]), ([4], [1]), ([6], [2]), ([8], [1]), ([12], [2])
         ]
