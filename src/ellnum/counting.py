@@ -431,9 +431,14 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, t
     step is at infinity (Q = O included), no step has x = 0, S is neither,
     and the baby x are distinct: then every step is exact, and the c -/+ i
     found in range, with the c_j at infinity, are all the multiples of
-    ord(Q) there. A ladder checks c - i; c + i kills when c - i does not,
-    or when iQ is 2-torsion. Their gcd is ord(Q) for two or more; one
-    alone is the group order over t when [lo, hi] is the Hasse interval.
+    ord(Q) there. A match's sign comes from u = x(S - iQ): cQ = iQ puts u
+    on the giant row before c, cQ = -iQ on the row after, and the two
+    differ unless 2S = O or 2iQ = O. A clean lane has ord(Q) > 2m + 1. So
+    2S = O there means ord(Q) = 2(2m + 1), and no giant row matches; 2iQ
+    = O means ord(Q) = 2i = 2m + 2, and the sign not taken gives a
+    multiple found on the next giant row, or one outside [lo, hi]. Their
+    gcd is ord(Q) for two or more; one alone is the group order over t
+    when [lo, hi] is the Hasse interval.
     Baby steps double, so the first degenerate one is exact; Q stays
     projective until the inversion of the step rows; keys need
     lanes * rows < 2^31.
@@ -470,6 +475,7 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, t
     X *= Z
     X %= p
     del Z
+    xn = X.astype(np.int32)  # the normalised rows, kept for the signs of the matches
 
     # one sort of (lane, x, row) keys: a run of equal (lane, x) lists its baby
     # rows first, and a giant row matches when its run starts with a baby row
@@ -489,13 +495,21 @@ def _lane_divisors(xl: _XLine, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, t
     hit = np.flatnonzero((first < g) & (row >= g))
     # rows at infinity and dirty lanes are left out
     hit = hit[~at_inf[row[hit], lx[hit] >> 31] & ~dirty[lx[hit] >> 31]]
-    lane, j, i, xi = lx[hit] >> 31, row[hit] - g, first[hit] + 1, lx[hit] & 0x7FFFFFFF
+    lane, j, i = lx[hit] >> 31, row[hit] - g, first[hit] + 1
     c = (t0[lane] + j) * step
-    minus = xl.take(lane).ladder(x0[lane], z0[lane], np.abs(c - i))[0][1] == 0
-    plus = ~minus | (((xi * xi % p[lane] + xl.A[lane]) * xi + xl.B[lane]) % p[lane] == 0)
+    # u = x((2m + 1 - i)Q): baby row 2m - i for i >= m, else rows m and m - 1 - i
+    # added, with difference row i; cQ = iQ when the giant row before c has x = u,
+    # and on the first giant row when the row after it does not
+    r = np.minimum(i, m - 1)
+    Xa, Xb, Xd = (xn[k, lane].astype(np.int64) for k in (m, m - 1 - r, r))
+    Xu, Zu = xl.take(lane).add(Xa, 1, Xb, 1, Xd, 1)
+    Xu, Zu = np.where(i < m, Xu, xn[np.minimum(2 * m - i, m), lane]), np.where(i < m, Zu, 1)
+    nb = g + np.where(j > 0, j - 1, 1)
+    same = ~at_inf[nb, lane] & (xn[nb, lane] * Zu % p[lane] == Xu)
+    c += np.where(same != (j == 0), -i, i)
     zero = np.flatnonzero(at_inf[g:].ravel())
-    v_lane = np.concatenate([lane[minus], lane[plus], zero % L])
-    v = np.concatenate([(c - i)[minus], (c + i)[plus], (t0[zero % L] + zero // L) * step])
+    v_lane = np.concatenate([lane, zero % L])
+    v = np.concatenate([c, (t0[zero % L] + zero // L) * step])
     keep = (lo[v_lane] <= v) & (v <= hi[v_lane]) & ~dirty[v_lane]
     d = np.zeros(L, dtype=np.int64)
     np.gcd.at(d, v_lane[keep], v[keep])

@@ -109,12 +109,18 @@ def _np_window(
     A table serves the primes up to its limit and raises TableError if it
     is for another curve; the good primes above the limit are counted
     once, as one batch of lanes, which drop the primes whose N_p cannot
-    lie in within before counting.
+    lie in within before counting. |E(Q)[2]| divides N_p at every odd
+    good p, so a window of odd primes whose range holds no multiple of it
+    is empty before any prime is sieved.
     """
     ps: list[int] = []
     nps: list[int] = []
     if table is not None:
         covering_table(table, model, min(hi, table.limit))
+    t = model.two_torsion_order
+    if within and lo > 2 and within[1] // t < -(-within[0] // t):
+        return ps, nps
+    if table is not None:
         i = int(np.searchsorted(table.ps, lo))
         j = int(np.searchsorted(table.ps, hi, side="right"))
         ps, nps = table.ps[i:j].tolist(), table.nps[i:j].tolist()

@@ -28,7 +28,8 @@ from .errors import (
 )
 
 FORMAT_TAG = "ellnum-v1"
-CHUNK_PRIMES = 1000
+# A chunk of good primes is one count_points batch: one retry round, in blocks of LANE_CELLS.
+CHUNK_PRIMES = 1 << 13
 
 
 class NpTable:
@@ -122,14 +123,16 @@ def build_table(
 ) -> NpTable:
     """Compute N_p for every good prime <= limit.
 
-    Work is split into contiguous chunks of ~1000 primes, each counted as
-    one batch by count_points; results are merged in prime order, so
-    the table is identical for any worker count.
+    Work is split into contiguous chunks of at most CHUNK_PRIMES primes,
+    and of at most an even share per worker, each counted as one batch by
+    count_points; results are merged in prime order, so the table is
+    identical for any worker count.
     """
     primes = primes_up_to(limit)
     good = [p for p in primes if model.disc % p != 0]
     bad = [p for p in primes if model.disc % p == 0]
-    chunks = [good[i : i + CHUNK_PRIMES] for i in range(0, len(good), CHUNK_PRIMES)]
+    size = max(1, min(CHUNK_PRIMES, -(-len(good) // max(workers, 1))))
+    chunks = [good[i : i + size] for i in range(0, len(good), size)]
     jobs = (repeat(model.coefficients), chunks, repeat(seed))
     results: list[list[int]] = []
     with ExitStack() as stack:

@@ -21,7 +21,7 @@ from ellnum.counting import (
 from ellnum.curves import ReducedCurve
 from ellnum.errors import BadReductionError, EllnumError
 from ellnum.search import g1, hasse_prime_window
-from ellnum.table import build_table
+from ellnum.table import CHUNK_PRIMES, build_table
 
 # y^2 = x^3 - x: complex multiplication and full 2-torsion, so points of
 # small order are common.
@@ -267,6 +267,43 @@ class TestLanes:
                 assert d.any()
                 assert all(e == 0 or o % e == 0 for e, o in zip(d.tolist(), order)), (q, t)
 
+    # dirty lanes of the sweep below when a second ladder settled the signs
+    LADDER_DIRTY = {"0,0,1,-1,0": 2112, CM_SPEC: 8524, "0,0,0,0,1": 9636}
+
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,0,0,0,1"])
+    def test_clean_lanes_give_the_exact_gcd_over_the_hasse_interval(self, spec):
+        # every x0 of small primes, searching all multiples and those of
+        # |E(Q)[2]|: a clean lane returns the gcd of the multiples of lcm(t,
+        # ord(P)) in the Hasse interval, so it took the sign of every match right
+        model = parse_curve(spec)
+        lanes = dirty = two_s = two_i = first_row = 0
+        for q in good_primes(model, 230, 700):
+            xl = short_model_lanes(model, np.full(q - 1, q, dtype=np.int64))
+            x0 = np.arange(1, q, dtype=np.int64)
+            f = ((x0 * x0 % q + xl.A) * x0 + xl.B) % q
+            on = np.flatnonzero(f)
+            xl, x0, f = xl.take(on), x0[on], f[on]
+            lo, hi = hasse_bounds(q)
+            n = count_charsum(ReducedCurve.reduce(model, q))
+            twist = np.array([pow(int(v), (q - 1) // 2, q) != 1 for v in f])
+            order = orders(xl, x0, np.where(twist, 2 * q + 2 - n, n))
+            for t in {1, model.two_torsion_order}:
+                o = np.lcm(t, order)
+                first, last = (lo + o - 1) // o * o, hi // o * o
+                d = counting._lane_divisors(xl, x0, np.full_like(x0, lo), np.full_like(x0, hi), t)
+                clean = d != 0
+                assert (d[clean] == np.where(first == last, first, o)[clean]).all(), (q, t)
+                # Q = tP of order o / t, S = step Q, and the first giant centre c0
+                m, step, _, _ = counting._layout(hi // t - (lo + t - 1) // t)
+                oq, c0 = o // t, ((lo + t - 1) // t + m) // step * step
+                near = np.minimum(c0 % oq, -c0 % oq)  # c0 Q = +/-iQ for i = near, if 1 <= i <= m + 1
+                lanes, dirty = lanes + len(d), dirty + int((~clean).sum())
+                two_s += int((clean & (oq == 2 * step)).sum())  # 2S = O
+                two_i += int((clean & (oq == 2 * m + 2)).sum())  # 2iQ = O at i = m + 1
+                first_row += int((clean & (near >= 1) & (near <= m + 1)).sum())
+        assert two_s and two_i and first_row > 100
+        assert dirty <= self.LADDER_DIRTY[spec] + 0.002 * lanes
+
     @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, "0,0,0,0,1"])
     def test_repeated_baby_steps_dirty_the_lane(self, spec):
         # a point of order m + 2 .. 2m meets no baby step at infinity, but
@@ -350,12 +387,22 @@ class TestLanes:
         g1(curve_a, 57_000_000)
         assert blocks[0] == (len(ps), 4)
 
-    def test_table_chunk_is_one_block(self, curve_a, monkeypatch):
-        # 1000 lanes of 58 rows: each round of a chunk below 1.15e5 is one call
+    def test_retry_round_is_one_call_per_chunk(self, curve_a, monkeypatch):
+        # each chunk's first round runs in LANE_CELLS blocks, and the lanes it
+        # leaves open take their retry points in one more call
         blocks = spy_lane_blocks(monkeypatch)
-        count_points(curve_a, good_primes(curve_a, 2, 115_000)[-1000:])
-        assert blocks[0] == (1000, 58)
-        assert len(blocks) <= 2
+        table = build_table(curve_a, 115_000)
+        assert all(lanes * rows <= LANE_CELLS for lanes, rows in blocks)
+        chunks = [table.ps[i : i + CHUNK_PRIMES] for i in range(0, len(table), CHUNK_PRIMES)]
+        assert len(chunks) == 2
+        k = 0
+        for chunk in chunks:
+            want, seen = int((chunk > LANE_PRIME_FLOOR).sum()), 0
+            while seen < want:
+                seen, k = seen + blocks[k][0], k + 1
+            assert seen == want
+            k += 1  # the retry round
+        assert k == len(blocks)
 
     def test_rejects_bad_and_composite_inputs(self, curve_a):
         assert count_points(curve_a, []) == []

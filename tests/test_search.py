@@ -82,6 +82,20 @@ class TestG1:
     def test_n_1_handled_without_special_case(self, curve_a):
         assert g1(curve_a, 1).multiplicity == 0
 
+    def test_n_off_the_multiples_of_two_torsion_sieves_nothing(self, table_a5k, monkeypatch):
+        # 4 = |E(Q)[2]| divides N_p at every odd good p of the CM curve
+        from ellnum import parse_curve
+
+        cm = parse_curve("0,0,0,-1,0")
+        calls = []
+        monkeypatch.setattr(search, "primes_in_range", lambda *a: calls.append(a))
+        monkeypatch.setattr(search, "count_points", lambda *a, **k: calls.append(a))
+        for n in (10, 1_002, 1_000_006):
+            assert g1(cm, n).primes == ()
+        assert calls == []
+        with pytest.raises(TableError):
+            g1(cm, 1_002, table=table_a5k)
+
     def test_exactness_against_brute_force(self, curve_a, table_a5k):
         # windows up to n = 2000 stay inside the p <= 5000 table
         brute = Counter(n for _, n in table_a5k)

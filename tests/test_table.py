@@ -91,6 +91,41 @@ class TestWorkersDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestChunks:
+    def test_serial_build_is_one_chunk(self, monkeypatch):
+        import ellnum.table as table_mod
+        from ellnum import parse_curve
+
+        calls = []
+        real = table_mod._count_chunk
+
+        def spy(coeffs, primes, seed):
+            calls.append(len(primes))
+            return real(coeffs, primes, seed)
+
+        monkeypatch.setattr(table_mod, "_count_chunk", spy)
+        table = build_table(parse_curve("0,0,0,-1,0"), 20_000)
+        assert calls == [len(table)]
+
+    def test_two_workers_take_one_chunk_each(self, curve_a, tmp_path, monkeypatch):
+        # the pool pickles _count_chunk by name, so the chunks are read off its map
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = []
+        real = ProcessPoolExecutor.map
+
+        def spy(self, fn, coeffs, parts, seeds):
+            chunks.extend(parts)
+            return real(self, fn, coeffs, parts, seeds)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+        table = build_table(curve_a, 115_000, workers=2)
+        assert [len(c) for c in chunks] == [(len(table) + 1) // 2, len(table) // 2]
+        path = tmp_path / "37a.ellnum"
+        save_table(table, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TestGoldenTable.TABLE_A_SHA256
+
+
 class TestBuildFailure:
     def test_partial_progress_reported(self, curve_a, monkeypatch):
         import ellnum.table as table_mod
