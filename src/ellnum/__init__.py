@@ -43,6 +43,6 @@ from .stats import (
     pi_e,
     standardized_distribution,
 )
-from .table import NpTable, build_table, cached_table, load_table, save_table
+from .table import NpTable, build_table, covering_table, load_table, save_table
 
 __version__ = "0.1.0"

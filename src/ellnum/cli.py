@@ -22,7 +22,7 @@ from .curves import CurveModel, parse_curve
 from .errors import BadReductionError, EllnumError
 from .search import find_progressions, g1, gk_census, gk_solutions
 from .stats import admissible_recip_sum, moments, pi_e, standardized_distribution
-from .table import cached_table, save_table
+from .table import covering_table, save_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,10 +48,11 @@ def _stamp(args, model: CurveModel, limit=None) -> None:
 
 
 def _emit(args, payload: dict, csv_lines=None, table_lines=None) -> None:
+    """Print what csv_lines() or table_lines() returns for those formats, else the JSON payload."""
     if args.format == "csv" and csv_lines is not None:
-        print("\n".join(csv_lines))
+        print("\n".join(csv_lines()))
     elif args.format == "table-text" and table_lines is not None:
-        print("\n".join(table_lines))
+        print("\n".join(table_lines()))
     else:
         print(json.dumps(payload, sort_keys=True))
 
@@ -124,10 +125,6 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _table_for(args, model, limit):
-    return cached_table(model, limit, cache_dir=args.cache, workers=args.workers, seed=args.seed)
-
-
 def cmd_np(args, model) -> int:
     _stamp(args, model)
     n = count_points(model, args.prime, seed=args.seed)
@@ -137,7 +134,7 @@ def cmd_np(args, model) -> int:
 
 def cmd_table(args, model) -> int:
     _stamp(args, model, args.limit)
-    table = _table_for(args, model, args.limit)
+    table = covering_table(None, model, args.limit, args.cache, args.workers, args.seed)
     if args.out:
         save_table(table, args.out)
     payload = {
@@ -146,8 +143,7 @@ def cmd_table(args, model) -> int:
         "bad_primes": list(table.bad_primes),
         "max_np": table.max_np(),
     }
-    csv_lines = ["p,np"] + [f"{p},{n}" for p, n in table]
-    _emit(args, payload, csv_lines=csv_lines)
+    _emit(args, payload, csv_lines=lambda: ["p,np"] + [f"{p},{n}" for p, n in table])
     return EXIT_OK
 
 
@@ -155,7 +151,7 @@ def cmd_g1(args, model) -> int:
     _stamp(args, model)
     rec = g1(model, args.n, seed=args.seed)
     _emit(args, rec.as_dict(),
-          table_lines=[f"n={rec.n} multiplicity={rec.multiplicity} primes={list(rec.primes)}"])
+          table_lines=lambda: [f"n={rec.n} multiplicity={rec.multiplicity} primes={list(rec.primes)}"])
     return EXIT_OK
 
 
@@ -163,10 +159,9 @@ def cmd_progressions(args, model) -> int:
     _stamp(args, model)
     recs = find_progressions(model, args.lo, args.hi, args.min_mult, seed=args.seed)
     payload = {"records": [r.as_dict() for r in recs]}
-    csv_lines = ["n,multiplicity,primes"] + [
+    _emit(args, payload, csv_lines=lambda: ["n,multiplicity,primes"] + [
         f"{r.n},{r.multiplicity},{' '.join(map(str, r.primes))}" for r in recs
-    ]
-    _emit(args, payload, csv_lines=csv_lines)
+    ])
     return EXIT_OK
 
 
@@ -191,20 +186,20 @@ def cmd_census(args, model) -> int:
         "max_count": census.max_count,
         "argmax": census.argmax,
     }
-    _emit(args, payload, csv_lines=census.csv_lines())
+    _emit(args, payload, csv_lines=census.csv_lines)
     return EXIT_OK
 
 
 def cmd_moments(args, model) -> int:
     _stamp(args, model, args.x)
-    table = _table_for(args, model, args.x)
+    table = covering_table(None, model, args.x, args.cache, args.workers, args.seed)
     rep = moments(table, args.x)
     payload = dataclasses.asdict(rep)
     csv_lines = None
     if args.bins > 0:
         dist = standardized_distribution(table, args.x, args.bins)
         payload["ks_stat"] = dist.ks_stat
-        csv_lines = dist.csv_lines()
+        csv_lines = dist.csv_lines
     _emit(args, payload, csv_lines=csv_lines)
     return EXIT_OK
 
@@ -212,7 +207,7 @@ def cmd_moments(args, model) -> int:
 def cmd_mertens(args, model) -> int:
     _stamp(args, model, args.x)
     limit = int(math.ceil(args.x**args.b)) + 1
-    table = _table_for(args, model, limit)
+    table = covering_table(None, model, limit, args.cache, args.workers, args.seed)
     rep = admissible_recip_sum(table, args.x, args.a, args.b, args.epsilon)
     _emit(args, dataclasses.asdict(rep))
     return EXIT_OK
@@ -220,7 +215,7 @@ def cmd_mertens(args, model) -> int:
 
 def cmd_pied(args, model) -> int:
     _stamp(args, model, args.x)
-    table = _table_for(args, model, args.x)
+    table = covering_table(None, model, args.x, args.cache, args.workers, args.seed)
     payload = {"x": args.x, "d": args.d, "count": pi_e(table, args.x, args.d)}
     _emit(args, payload)
     return EXIT_OK

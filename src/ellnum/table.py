@@ -2,13 +2,16 @@
 
 Cache format (ellnum-v1): text, UTF-8, LF endings, no trailing whitespace.
 Line 1 is "ellnum-v1,<a1>,<a2>,<a3>,<a4>,<a6>,<limit>", then one line per
-good prime "p,np" in ascending order, then one line per bad prime "!p".
+good prime "p,np" in ascending order, then one line per bad prime "!p";
+p, np and the bad primes have at most 18 digits.
 The format is canonical, so identical tables serialize to identical bytes.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 from contextlib import ExitStack
 from functools import cached_property
 from itertools import repeat
@@ -28,7 +31,8 @@ from .errors import (
 )
 
 FORMAT_TAG = "ellnum-v1"
-# A chunk of good primes is one count_points batch: one retry round, in blocks of LANE_CELLS.
+# A chunk of good primes is one count_points batch (one retry round, in blocks of
+# LANE_CELLS) and one write of save_table.
 CHUNK_PRIMES = 1 << 13
 
 
@@ -38,8 +42,8 @@ class NpTable:
     def __init__(self, curve: CurveModel, limit: int, ps, nps, bad_primes):
         self.curve = curve
         self.limit = int(limit)
-        self.ps = np.asarray(ps, dtype=np.int64)
-        self.nps = np.asarray(nps, dtype=np.int64)
+        self.ps = np.ascontiguousarray(ps, dtype=np.int64)
+        self.nps = np.ascontiguousarray(nps, dtype=np.int64)
         self.bad_primes = tuple(int(b) for b in bad_primes)
         self.ps.flags.writeable = False
         self.nps.flags.writeable = False
@@ -87,28 +91,45 @@ class NpTable:
         w.flags.writeable = False
         return w
 
-    def validate(self) -> None:
-        """Re-check every structural invariant; raises a TableError subclass."""
-        if len(self.ps) != len(self.nps):
+    def validate(self, first_line: int | None = None) -> None:
+        """Re-check every structural invariant; raises a TableError subclass.
+        Given `first_line`, the file line of entry 0 (the bad primes follow the
+        entries, one a line), an error about one entry or bad prime names its line."""
+
+        def line(i):
+            return None if first_line is None else first_line + i
+
+        ps, nps, bad = self.ps, self.nps, np.asarray(self.bad_primes, dtype=np.int64)
+        if len(ps) != len(nps):
             raise TableFormatError("prime and count columns differ in length")
-        if np.any(self.ps[1:] <= self.ps[:-1]):
-            raise TableOrderError("good-prime entries are not strictly ascending")
-        d = self.nps - self.ps - 1
-        bad = np.flatnonzero(d * d > 4 * self.ps)
-        if len(bad):
-            i = int(bad[0])
-            raise TableHasseError(
-                f"entry ({int(self.ps[i])},{int(self.nps[i])}) violates the Hasse bound"
-            )
-        expected = primes_up_to(self.limit)
-        merged = sorted(self.ps.tolist() + list(self.bad_primes))
-        if merged != expected:
-            raise TableFormatError(
-                f"entries plus bad primes do not cover exactly the {len(expected)} primes <= {self.limit}"
-            )
-        for b in self.bad_primes:
+        for col, offset, what in ((ps, 0, "good prime"), (bad, len(ps), "bad prime")):
+            down = np.flatnonzero(col[1:] <= col[:-1])
+            if len(down):
+                i = int(down[0]) + 1
+                raise TableOrderError(f"{what} {col[i]} not ascending after {col[i - 1]}", line(offset + i))
+        # |N - p - 1| < 1e18 for fields of at most 18 digits; clamped to 2**31 its
+        # square fits int64 and still exceeds 4p for every p < 1e18
+        d = np.minimum(np.abs(nps - ps - 1), 1 << 31)
+        over = np.flatnonzero(d * d > 4 * ps)
+        if len(over):
+            i = int(over[0])
+            raise TableHasseError(f"entry ({ps[i]},{nps[i]}) violates the Hasse bound", line(i))
+        for j, b in enumerate(self.bad_primes):
             if self.curve.disc % b != 0:
-                raise TableFormatError(f"{b} is marked bad but does not divide disc {self.curve.disc}")
+                raise TableFormatError(
+                    f"{b} is marked bad but does not divide disc {self.curve.disc}", line(len(ps) + j)
+                )
+        # pi(x) > x / ln x for x >= 17 (Rosser), so a table this short is refused
+        # before a corrupt limit makes the sieve below allocate limit + 1 bytes
+        count = len(ps) + len(bad)
+        if self.limit >= 17 and count * math.log(self.limit) <= self.limit:
+            raise TableFormatError(f"{count} entries and bad primes cannot cover the primes <= {self.limit}")
+        primes = np.asarray(primes_up_to(self.limit), dtype=np.int64)
+        is_bad = np.isin(primes, bad)
+        if np.count_nonzero(is_bad) != len(bad) or not np.array_equal(primes[~is_bad], ps):
+            raise TableFormatError(
+                f"entries plus bad primes do not cover exactly the {len(primes)} primes <= {self.limit}"
+            )
 
 
 def _count_chunk(coeffs, primes, seed):
@@ -128,13 +149,14 @@ def build_table(
     count_points; results are merged in prime order, so the table is
     identical for any worker count.
     """
-    primes = primes_up_to(limit)
-    good = [p for p in primes if model.disc % p != 0]
-    bad = [p for p in primes if model.disc % p == 0]
+    primes = np.asarray(primes_up_to(limit), dtype=np.int64)  # no list of every prime is kept
+    bad = [p for p in primes.tolist() if model.disc % p == 0]  # the disc is a Python int of any size
+    good = np.setdiff1d(primes, bad, assume_unique=True)
     size = max(1, min(CHUNK_PRIMES, -(-len(good) // max(workers, 1))))
     chunks = [good[i : i + size] for i in range(0, len(good), size)]
     jobs = (repeat(model.coefficients), chunks, repeat(seed))
-    results: list[list[int]] = []
+    nps = np.empty(len(good), dtype=np.int64)
+    done = 0
     with ExitStack() as stack:
         if workers <= 1 or len(chunks) <= 1:
             counted = map(_count_chunk, *jobs)
@@ -142,34 +164,45 @@ def build_table(
             from concurrent.futures import ProcessPoolExecutor  # imported on use: it costs ~2 MB
             counted = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(_count_chunk, *jobs)
         try:
-            for chunk in counted:
-                results.append(chunk)
+            for counts in counted:
+                nps[done * size : (done + 1) * size] = counts
+                done += 1
         except Exception as exc:
-            done_to = chunks[len(results) - 1][-1] if results else 0
+            done_to = chunks[done - 1][-1] if done else 0
             raise TableBuildError(
-                f"table build failed in chunk {len(results)} (completed through p={done_to}): {exc}"
+                f"table build failed in chunk {done} (completed through p={done_to}): {exc}"
             ) from exc
-    table = NpTable(model, limit, good, [n for chunk in results for n in chunk], bad)
+    table = NpTable(model, limit, good, nps, bad)
     table.validate()
     return table
 
 
 def save_table(table: NpTable, path: str | os.PathLike) -> None:
-    """Write the canonical ellnum-v1 text form through a temporary file next
-    to `path`, so that an interrupted write leaves `path` as it was."""
+    """Write the canonical ellnum-v1 text form, CHUNK_PRIMES entries per
+    write, through a temporary file next to `path`, so that an interrupted
+    write leaves `path` as it was."""
     a1, a2, a3, a4, a6 = table.curve.coefficients
-    lines = [f"{FORMAT_TAG},{a1},{a2},{a3},{a4},{a6},{table.limit}"]
-    lines.extend(f"{p},{n}" for p, n in table)
-    lines.extend(f"!{b}" for b in table.bad_primes)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{FORMAT_TAG},{a1},{a2},{a3},{a4},{a6},{table.limit}\n")
+            for i in range(0, len(table), CHUNK_PRIMES):
+                rows = zip(table.ps[i : i + CHUNK_PRIMES].tolist(), table.nps[i : i + CHUNK_PRIMES].tolist())
+                fh.write("".join(f"{p},{n}\n" for p, n in rows))
+            fh.write("".join(f"!{b}\n" for b in table.bad_primes))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+_HEADER = re.compile(rf"{FORMAT_TAG}((?:,-?[0-9]+){{6}})")
+# The first line of a block that is not in the canonical form: a field is
+# 1 to 18 digits with no leading zero (so it fits int64 exactly), and every
+# line ends with LF. Found in one search, without a backtracking stack.
+_BAD_ENTRY = re.compile(r"^(?![1-9][0-9]{0,17},[1-9][0-9]{0,17}\n|\Z)", re.M)
+_BAD_BAD_PRIME = re.compile(r"^(?!![1-9][0-9]{0,17}\n|\Z)", re.M)
 
 
 def load_table(path: str | os.PathLike, expect: CurveModel | None = None) -> NpTable:
@@ -178,55 +211,30 @@ def load_table(path: str | os.PathLike, expect: CurveModel | None = None) -> NpT
     Every failure names the offending line; a curve different from
     `expect` raises TableCurveError before any entry is trusted.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:  # no CR may pass as an LF
         text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise TableFormatError("empty table file", 1)
-    head = lines[0].split(",")
-    if len(head) != 7 or head[0] != FORMAT_TAG:
-        raise TableFormatError(f"bad header {lines[0]!r}: want '{FORMAT_TAG},a1,a2,a3,a4,a6,limit'", 1)
-    try:
-        a1, a2, a3, a4, a6, limit = (int(v) for v in head[1:])
-    except ValueError:
-        raise TableFormatError(f"non-integer header field in {lines[0]!r}", 1) from None
-    curve = CurveModel.from_coefficients(a1, a2, a3, a4, a6)
+    head, newline, _ = text.partition("\n")
+    fields = _HEADER.fullmatch(head)
+    if not (fields and newline):
+        raise TableFormatError(f"bad header {head!r}: want '{FORMAT_TAG},a1,a2,a3,a4,a6,limit' and a newline", 1)
+    *coeffs, limit = map(int, fields[1].split(",")[1:])
+    curve = CurveModel.from_coefficients(*coeffs)
     if expect is not None and curve.coefficients != expect.coefficients:
         raise TableCurveError(
             f"table curve {curve.spec_text()} does not match expected {expect.spec_text()}", 1
         )
-    ps: list[int] = []
-    nps: list[int] = []
-    bad: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line != line.strip():
-            raise TableFormatError(f"stray whitespace in {line!r}", lineno)
-        if line.startswith("!"):
-            try:
-                b = int(line[1:])
-            except ValueError:
-                raise TableFormatError(f"bad bad-prime line {line!r}", lineno) from None
-            if bad and b <= bad[-1]:
-                raise TableOrderError("bad primes are not ascending", lineno)
-            bad.append(b)
-            continue
-        if bad:
-            raise TableFormatError("good-prime entry after the bad-prime section", lineno)
-        try:
-            p_s, n_s = line.split(",")
-            p, n = int(p_s), int(n_s)
-        except ValueError:
-            raise TableFormatError(f"bad entry line {line!r}: want 'p,np'", lineno) from None
-        if ps and p <= ps[-1]:
-            raise TableOrderError(f"entry p={p} not ascending after {ps[-1]}", lineno)
-        if (n - p - 1) ** 2 > 4 * p:
-            raise TableHasseError(f"entry ({p},{n}) violates the Hasse bound", lineno)
-        ps.append(p)
-        nps.append(n)
-    table = NpTable(curve, limit, ps, nps, bad)
-    table.validate()
+    start = len(head) + 1
+    cut = text.find("!") if "!" in text else len(text)  # the bad primes follow the entries
+    for lo, hi, malformed, want in ((start, cut, _BAD_ENTRY, "p,np"), (cut, len(text), _BAD_BAD_PRIME, "!p")):
+        m = malformed.search(text, lo, hi)
+        if m:
+            line = text[m.start() :].partition("\n")[0]
+            lineno = text.count("\n", 0, m.start()) + 1
+            raise TableFormatError(f"bad line {line!r}: want '{want}' and a newline", lineno)
+    cols = np.fromstring(text[start:cut].replace("\n", ","), dtype=np.int64, sep=",").reshape(-1, 2)
+    table = NpTable(curve, limit, cols[:, 0], cols[:, 1], (int(b) for b in text[cut:].replace("!", "").split()))
+    del text, cols  # freed before validate sieves (110 MB of peak at limit 5.7e7)
+    table.validate(first_line=2)
     return table
 
 
@@ -235,35 +243,30 @@ def cache_path(cache_dir: str | os.PathLike, model: CurveModel, limit: int) -> s
     return os.path.join(os.fspath(cache_dir), f"{a1}_{a2}_{a3}_{a4}_{a6}_{limit}.ellnum")
 
 
-def cached_table(
+def covering_table(
+    table: NpTable | None,
     model: CurveModel,
     limit: int,
     cache_dir: str | os.PathLike | None = None,
     workers: int = 1,
     seed: int = 0,
 ) -> NpTable:
-    """Load the table from the cache directory, or build and cache it.
-
-    With no cache directory this is a plain build. An existing file that
-    fails validation is reported, never silently rebuilt.
-    """
+    """`table` itself, which must be of `model` and cover `limit`; with no
+    table, the one of `model` to `limit` loaded from `cache_dir`, else built
+    (and saved there, given a cache directory). A cached file that fails
+    validation is reported, never silently rebuilt."""
+    if table is not None:
+        if table.curve.coefficients != model.coefficients or table.limit < limit:
+            raise TableError(
+                f"the table of curve {table.curve.spec_text()} to {table.limit} "
+                f"does not cover curve {model.spec_text()} to {limit}"
+            )
+        return table
     if cache_dir is None:
         return build_table(model, limit, workers, seed)
     path = cache_path(cache_dir, model, limit)
     if os.path.exists(path):
-        return load_table(path, expect=model)
+        return covering_table(load_table(path, expect=model), model, limit)
     table = build_table(model, limit, workers, seed)
     save_table(table, path)
-    return table
-
-
-def covering_table(table: NpTable | None, model: CurveModel, limit: int, **kw) -> NpTable:
-    """`table` itself, which must cover `limit`; with no table, a cached one that does."""
-    if table is None:
-        return cached_table(model, limit, **kw)
-    if table.curve.coefficients != model.coefficients or table.limit < limit:
-        raise TableError(
-            f"the table of curve {table.curve.spec_text()} to {table.limit} "
-            f"does not cover curve {model.spec_text()} to {limit}"
-        )
     return table

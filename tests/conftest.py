@@ -3,7 +3,7 @@ import os
 import pytest
 
 from ellnum import parse_curve
-from ellnum.table import cached_table
+from ellnum.table import covering_table
 
 CURVE_A_SPEC = "0,0,1,-1,0"
 CURVE_B_SPEC = "0,0,3,-1,2"
@@ -38,14 +38,14 @@ def cache_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def table_a(curve_a, cache_dir):
-    return cached_table(curve_a, TABLE_A_LIMIT, cache_dir=cache_dir)
+    return covering_table(None, curve_a, TABLE_A_LIMIT, cache_dir=cache_dir)
 
 
 @pytest.fixture(scope="session")
 def table_b(curve_b, cache_dir):
-    return cached_table(curve_b, TABLE_B_LIMIT, cache_dir=cache_dir)
+    return covering_table(None, curve_b, TABLE_B_LIMIT, cache_dir=cache_dir)
 
 
 @pytest.fixture(scope="session")
 def table_a5k(curve_a, cache_dir):
-    return cached_table(curve_a, 5_000, cache_dir=cache_dir)
+    return covering_table(None, curve_a, 5_000, cache_dir=cache_dir)

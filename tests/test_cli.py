@@ -109,6 +109,23 @@ class TestCensusCommand:
         assert first.stderr == second.stderr
 
 
+def test_json_output_builds_no_csv_lines(tmp_path, monkeypatch, capsys):
+    from ellnum import cli
+    from ellnum.search import CensusResult
+    from ellnum.table import NpTable
+
+    def refuse(self):
+        raise AssertionError("csv lines built for json output")
+
+    monkeypatch.setattr(CensusResult, "csv_lines", refuse)
+    monkeypatch.setattr(NpTable, "__iter__", refuse)  # the table command's p,np lines iterate the table
+    assert cli.main(["census", "--k", "2", "--x", "5000", "--cache", str(tmp_path)]) == 0
+    assert cli.main(["table", "--limit", "100", "--cache", str(tmp_path)]) == 0
+    census, table = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert census["k"] == 2 and census["total_products"] > 0
+    assert table["entries"] == 24
+
+
 class TestTableCommand:
     def test_build_and_cache(self, tmp_path):
         proc = run_cli("table", "--limit", "100", "--cache", str(tmp_path))

@@ -7,6 +7,7 @@ from ellnum import counting
 from ellnum.arith import primes_up_to
 from ellnum.errors import (
     TableCurveError,
+    TableError,
     TableFormatError,
     TableHasseError,
     TableOrderError,
@@ -15,7 +16,7 @@ from ellnum.table import (
     NpTable,
     build_table,
     cache_path,
-    cached_table,
+    covering_table,
     load_table,
     save_table,
 )
@@ -246,6 +247,13 @@ class TestLoadValidation:
         with pytest.raises(TableFormatError):
             load_table(_write(tmp_path, [self.HEAD, "2,5 ", "3,7"]))
 
+    def test_crlf_rejected(self, tmp_path):
+        path = tmp_path / "crlf.ellnum"
+        path.write_bytes("\r\n".join(self.GOOD).encode() + b"\r\n")
+        with pytest.raises(TableFormatError) as exc:
+            load_table(path)
+        assert exc.value.lineno == 1
+
     def test_entry_after_bad_section(self, tmp_path):
         lines = ["ellnum-v1,0,0,1,-1,0,37", "2,5", "!37", "41,40"]
         with pytest.raises(TableFormatError):
@@ -272,6 +280,49 @@ class TestLoadValidation:
         with pytest.raises(TableFormatError):
             load_table(path)
 
+    def test_order_error_names_a_late_line(self, tmp_path):
+        lines = ["ellnum-v1,0,0,1,-1,0,13", "2,5", "3,7", "5,8", "11,9", "7,9", "13,10"]
+        with pytest.raises(TableOrderError) as exc:
+            load_table(_write(tmp_path, lines))
+        assert exc.value.lineno == 6
+
+    def test_malformed_bad_prime_line(self, tmp_path):
+        lines = ["ellnum-v1,0,0,1,-1,0,37", "2,5", "!37", "!x"]
+        with pytest.raises(TableFormatError) as exc:
+            load_table(_write(tmp_path, lines))
+        assert exc.value.lineno == 4
+
+    def test_descending_bad_primes(self, tmp_path):
+        # 0,0,0,-1,1: disc = -16 * 23, so 2 and 23 are both bad
+        lines = ["ellnum-v1,0,0,0,-1,1,23", "3,7", "!23", "!2"]
+        with pytest.raises(TableOrderError) as exc:
+            load_table(_write(tmp_path, lines))
+        assert exc.value.lineno == 4
+
+    def test_file_cut_mid_entry(self, tmp_path):
+        path = tmp_path / "cut.ellnum"
+        path.write_text("ellnum-v1,0,0,1,-1,0,101\n2,5\n3,7\n101,")
+        with pytest.raises(TableFormatError) as exc:
+            load_table(path)
+        assert exc.value.lineno == 4
+
+    @pytest.mark.parametrize("n", ["99999999999999999999999", str(101 + 1 + 2**32 + 5), str(101 + 1 + 2**32)])
+    def test_out_of_range_count_names_its_line(self, tmp_path, n):
+        # a 23-digit field would saturate int64, and (2**32)**2 wraps to 0
+        with pytest.raises(TableError) as exc:
+            load_table(_write(tmp_path, ["ellnum-v1,0,0,1,-1,0,101", "2,5", f"101,{n}"]))
+        assert exc.value.lineno == 3
+
+    def test_corrupt_limit_refused_before_sieving(self, tmp_path, monkeypatch):
+        import ellnum.table as table_mod
+
+        def no_sieve(x):
+            raise AssertionError(f"sieved to {x}")
+
+        monkeypatch.setattr(table_mod, "primes_up_to", no_sieve)
+        with pytest.raises(TableFormatError, match="cannot cover"):
+            load_table(_write(tmp_path, ["ellnum-v1,0,0,1,-1,0,10000000000000", *self.GOOD[1:]]))
+
 
 class TestValidateDirect:
     def test_doctored_table_caught(self, curve_a):
@@ -285,13 +336,13 @@ class TestCache:
     def test_cache_path_format(self, curve_a):
         assert cache_path("cache", curve_a, 50) == os.path.join("cache", "0_0_1_-1_0_50.ellnum")
 
-    def test_cached_table_builds_then_loads(self, curve_a, tmp_path):
+    def test_covering_table_builds_then_loads(self, curve_a, tmp_path):
         d = str(tmp_path / "cache")
-        t1 = cached_table(curve_a, 100, cache_dir=d)
+        t1 = covering_table(None, curve_a, 100, cache_dir=d)
         path = cache_path(d, curve_a, 100)
         assert os.path.exists(path)
         stamp = os.path.getmtime(path)
-        t2 = cached_table(curve_a, 100, cache_dir=d)
+        t2 = covering_table(None, curve_a, 100, cache_dir=d)
         assert t1 == t2
         assert os.path.getmtime(path) == stamp
 
@@ -302,4 +353,10 @@ class TestCache:
         with open(path, "w") as fh:
             fh.write("ellnum-v1,0,0,1,-1,0,101\n2,5\n101,300\n")
         with pytest.raises(TableHasseError):
-            cached_table(curve_a, 101, cache_dir=str(d))
+            covering_table(None, curve_a, 101, cache_dir=str(d))
+
+    def test_cached_file_short_of_its_name_raises(self, curve_a, tmp_path):
+        # a valid table to 50 saved under the name of the table to 100
+        save_table(build_table(curve_a, 50), cache_path(str(tmp_path), curve_a, 100))
+        with pytest.raises(TableError, match="does not cover"):
+            covering_table(None, curve_a, 100, cache_dir=str(tmp_path))
