@@ -47,28 +47,32 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(x: int) -> list[int]:
-    """All primes <= x in ascending order; empty for x < 2."""
-    if x < 2:
-        return []
-    sieve = np.ones(x + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(x) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return np.flatnonzero(sieve).tolist()
+def primes_up_to(x: int) -> np.ndarray:
+    """All primes <= x in ascending order, as an int64 array; empty for x < 2."""
+    return primes_in_range(2, x)
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, by segmented sieve."""
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
+    """Primes p with lo <= p <= hi, ascending, as an int64 array, by segmented sieve."""
     if hi < 2 or hi < lo:
-        return []
+        return np.empty(0, dtype=np.int64)
     lo = max(lo, 2)
     sieve = np.ones(hi - lo + 1, dtype=bool)
-    for q in primes_up_to(math.isqrt(hi)):
+    for q in primes_up_to(math.isqrt(hi)).tolist():
         start = max(q * q, (lo + q - 1) // q * q)
         sieve[start - lo :: q] = False
-    return (np.flatnonzero(sieve) + lo).tolist()
+    ps = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    ps += lo  # in place: one prime array besides the sieve at the peak
+    return ps
+
+
+def divides(ps: np.ndarray, n: int) -> np.ndarray:
+    """Whether each p >= 1 of the int64 array ps divides the integer n of any size:
+    |n| mod p by Horner's rule over k-bit limbs, with k small enough that r * 2^k + limb fits uint64."""
+    u, k, n, r = ps.astype(np.uint64), 64 - int(ps.max(initial=1)).bit_length(), abs(n), np.uint64(0)
+    for shift in range(n.bit_length() // k * k, -1, -k):
+        r = (r << np.uint64(k) | np.uint64(n >> shift & ((1 << k) - 1))) % u
+    return r == 0
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -79,7 +83,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError("factorization needs n >= 1")
     out: list[tuple[int, int]] = []
-    for q in primes_up_to(math.isqrt(n)):
+    for q in primes_up_to(math.isqrt(n)).tolist():
         if q * q > n:
             break
         if n % q:
@@ -176,7 +180,7 @@ def loglog(x: float) -> float:
 def reciprocal_prime_sum(lo: float, hi: float, inclusive: bool = True) -> float:
     """Sum of 1/p over primes in [lo, hi] (or [lo, hi) if not inclusive)."""
     top = math.floor(hi)
-    ps = primes_in_range(math.ceil(lo), top)
+    ps = primes_in_range(math.ceil(lo), top).tolist()
     if not inclusive and ps and ps[-1] == hi:
         ps = ps[:-1]
     return sum(1.0 / p for p in ps)
@@ -207,7 +211,7 @@ def omega_table(limit: int) -> np.ndarray:
     """
     w = np.zeros(limit + 1, dtype=np.int8)
     rem = np.arange(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
-    for q in primes_up_to(math.isqrt(limit)):
+    for q in primes_up_to(math.isqrt(limit)).tolist():
         w[q::q] += 1
         qa = q
         while qa <= limit:

@@ -16,6 +16,7 @@ import random
 
 import numpy as np
 
+from .arith import divides
 from .curves import CurveModel, Point, ReducedCurve, _add_raw, legendre, point_neg, scalar_mul, sqrt_mod
 from .errors import EllnumError
 
@@ -191,9 +192,11 @@ def count_bsgs(rc: ReducedCurve, seed: int = 0) -> int:
     )
 
 
-def count_points(model: CurveModel, p, seed: int = 0, within: tuple[int, int] | None = None) -> int | list[int]:
+def count_points(
+    model: CurveModel, p, seed: int = 0, within: tuple[int, int] | None = None, *, sieved: bool = False
+) -> int | list[int]:
     """N_p(E) for a good prime p, dispatched by prime size; for a sequence
-    of good primes, the list of their N_p in order, counted in lanes.
+    of good primes below 2^63, the list of their N_p in order, in lanes.
 
     In a batch, primes up to LANE_PRIME_FLOOR are counted one by one. Each
     larger one runs as a lane: it draws a point on E or on its quadratic
@@ -214,7 +217,8 @@ def count_points(model: CurveModel, p, seed: int = 0, within: tuple[int, int] | 
     done. A lane with a hit, or a dirty one, runs that point again over
     its whole Hasse interval, in the blocks of the retry round, as a
     multiple found in a cut need not be the group order; from there it
-    takes the same points as without a range.
+    takes the same points as without a range. Lane primes are proved prime
+    by Miller-Rabin, unless sieved=True says that they come from a sieve.
     """
     if isinstance(p, (int, np.integer)):
         rc = ReducedCurve.reduce(model, int(p))
@@ -223,22 +227,23 @@ def count_points(model: CurveModel, p, seed: int = 0, within: tuple[int, int] | 
         if rc.p <= CHARSUM_THRESHOLD:
             return count_charsum(rc)
         return count_bsgs(rc, seed=seed)
-    ps = [int(q) for q in p]
-    in_lanes = [LANE_PRIME_FLOOR < q < LANE_PRIME_CAP and model.disc % q != 0 for q in ps]
-    out = [0 if on else count_points(model, q, seed=seed) for q, on in zip(ps, in_lanes)]
-    big = [i for i, on in enumerate(in_lanes) if on]
-    if big:
-        for i, n in zip(big, _lane_counts(model, np.array([ps[i] for i in big], dtype=np.int64), seed, within)):
-            out[i] = n
+    ps = np.asarray(p, dtype=np.int64)
+    lane = (LANE_PRIME_FLOOR < ps) & (ps < LANE_PRIME_CAP)
+    lane[lane] = ~divides(ps[lane], model.disc)
+    out = np.zeros(len(ps), dtype=np.int64)
+    for i in np.flatnonzero(~lane).tolist():
+        out[i] = count_points(model, int(ps[i]), seed=seed)
+    if not sieved:
+        for q in ps[lane][~_is_prime_lanes(ps[lane])].tolist():
+            ReducedCurve.reduce(model, q)  # raises: q is not prime
+    out[lane] = _lane_counts(model, ps[lane], seed, within)
     if within:
-        out = [n if within[0] <= n <= within[1] else 0 for n in out]
-    return out
+        out[(out < within[0]) | (out > within[1])] = 0
+    return out.tolist()
 
 
-def _lane_counts(model: CurveModel, p: np.ndarray, seed: int, within: tuple[int, int] | None) -> list[int]:
+def _lane_counts(model: CurveModel, p: np.ndarray, seed: int, within: tuple[int, int] | None) -> np.ndarray:
     """N_p of each lane prime, or 0 where the first point puts N_p outside within."""
-    for q in p[~_is_prime_lanes(p)].tolist():
-        ReducedCurve.reduce(model, q)  # raises: q is not prime
     # the short model y^2 = x^3 + A x + B, isomorphic to E for p >= 5
     c4 = model.b2 * model.b2 - 24 * model.b4
     c6 = -model.b2**3 + 36 * model.b2 * model.b4 - 216 * model.b6
@@ -292,10 +297,9 @@ def _lane_counts(model: CurveModel, p: np.ndarray, seed: int, within: tuple[int,
         np.lcm.at(dT, idx[twist], d[twist])
         res[lanes] = _unique_order(p[lanes], lo[lanes], hi[lanes], dE[lanes], dT[lanes])
         lanes = lanes[(res[lanes] == 0) & ~outside[lanes] & (stage[lanes] < 3)]
-    return [
-        n or (0 if out else count_bsgs(ReducedCurve.reduce(model, q), seed=seed))
-        for q, n, out in zip(p.tolist(), res.tolist(), outside.tolist())
-    ]
+    for i in np.flatnonzero((res == 0) & ~outside).tolist():
+        res[i] = count_bsgs(ReducedCurve.reduce(model, int(p[i])), seed=seed)
+    return res
 
 
 def _draw_points(xl: "_XLine", seed: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +327,7 @@ def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """b^e mod p, lane-wise; b broadcasts against e and p."""
     b = b % p
     r = np.ones_like(b)
-    for i in range(int(e.max()).bit_length()):
+    for i in range(int(e.max(initial=0)).bit_length()):
         r = np.where((e >> i) & 1 == 1, r * b % p, r)
         b = b * b % p
     return r
@@ -353,7 +357,7 @@ def _is_prime_lanes(n: np.ndarray) -> np.ndarray:
     d, s = (n - 1) // low, np.log2(low).astype(np.int64)
     x = _powmod(np.array([[2], [7], [61]], dtype=np.int64), d, n)
     passed = (x == 1) | (x == n - 1)
-    for r in range(1, int(s.max())):
+    for r in range(1, int(s.max(initial=0))):
         x = x * x % n
         passed |= (x == n - 1) & (r < s)
     return (n & 1 == 1) & passed.all(axis=0)

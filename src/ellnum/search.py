@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, iroot, loglog, omega_table, primes_in_range
+from .arith import divides, divisors, iroot, loglog, omega_table, primes_in_range
 from .counting import count_points, hasse_bounds
 from .curves import CurveModel
 from .table import NpTable, covering_table
@@ -113,25 +113,25 @@ def _np_window(
     good p, so a window of odd primes whose range holds no multiple of it
     is empty before any prime is sieved.
     """
-    ps: list[int] = []
-    nps: list[int] = []
     if table is not None:
         covering_table(table, model, min(hi, table.limit))
     t = model.two_torsion_order
     if within and lo > 2 and within[1] // t < -(-within[0] // t):
-        return ps, nps
+        return [], []
+    ps = nps = np.empty(0, dtype=np.int64)
     if table is not None:
         i = int(np.searchsorted(table.ps, lo))
         j = int(np.searchsorted(table.ps, hi, side="right"))
-        ps, nps = table.ps[i:j].tolist(), table.nps[i:j].tolist()
+        ps, nps = table.ps[i:j], table.nps[i:j]
         lo = max(lo, table.limit + 1)
-    good = tuple(p for p in primes_in_range(lo, hi) if model.disc % p)
-    # one batch through the module attribute, as a tuple: traced runs keep (curve, primes) in a set
-    ps, nps = ps + list(good), nps + (count_points(model, good, seed=seed, within=within) if good else [])
-    if within is None:
-        return ps, nps
-    kept = [i for i, v in enumerate(nps) if v and within[0] <= v <= within[1]]
-    return [ps[i] for i in kept], [nps[i] for i in kept]
+    primes = primes_in_range(lo, hi)
+    good = primes[~divides(primes, model.disc)] if len(primes) else primes
+    if len(good):
+        # one batch through the module attribute, as a tuple: traced runs keep (curve, primes) in a set
+        counted = count_points(model, tuple(good.tolist()), seed=seed, within=within, sieved=True)
+        ps, nps = np.concatenate([ps, good]), np.concatenate([nps, counted])
+    kept = (max(within[0], 1) <= nps) & (nps <= within[1]) if within else slice(None)
+    return ps[kept].tolist(), nps[kept].tolist()
 
 
 def g1(model: CurveModel, n: int, table: NpTable | None = None, seed: int = 0) -> ProgressionRecord:

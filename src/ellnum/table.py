@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .arith import omega_table, primes_up_to
+from .arith import divides, omega_table, primes_up_to
 from .counting import count_points
 from .curves import CurveModel
 from .errors import (
@@ -124,7 +124,7 @@ class NpTable:
         count = len(ps) + len(bad)
         if self.limit >= 17 and count * math.log(self.limit) <= self.limit:
             raise TableFormatError(f"{count} entries and bad primes cannot cover the primes <= {self.limit}")
-        primes = np.asarray(primes_up_to(self.limit), dtype=np.int64)
+        primes = primes_up_to(self.limit)
         is_bad = np.isin(primes, bad)
         if np.count_nonzero(is_bad) != len(bad) or not np.array_equal(primes[~is_bad], ps):
             raise TableFormatError(
@@ -133,7 +133,7 @@ class NpTable:
 
 
 def _count_chunk(coeffs, primes, seed):
-    return count_points(CurveModel.from_coefficients(*coeffs), primes, seed=seed)
+    return count_points(CurveModel.from_coefficients(*coeffs), primes, seed=seed, sieved=True)
 
 
 def build_table(
@@ -149,9 +149,9 @@ def build_table(
     count_points; results are merged in prime order, so the table is
     identical for any worker count.
     """
-    primes = np.asarray(primes_up_to(limit), dtype=np.int64)  # no list of every prime is kept
-    bad = [p for p in primes.tolist() if model.disc % p == 0]  # the disc is a Python int of any size
-    good = np.setdiff1d(primes, bad, assume_unique=True)
+    good = primes_up_to(limit)  # every prime until the split; rebinding frees it before validate sieves
+    is_bad = divides(good, model.disc)
+    bad, good = good[is_bad], good[~is_bad]
     size = max(1, min(CHUNK_PRIMES, -(-len(good) // max(workers, 1))))
     chunks = [good[i : i + size] for i in range(0, len(good), size)]
     jobs = (repeat(model.coefficients), chunks, repeat(seed))
@@ -213,7 +213,7 @@ def load_table(path: str | os.PathLike, expect: CurveModel | None = None) -> NpT
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:  # no CR may pass as an LF
         text = fh.read()
-    head, newline, _ = text.partition("\n")
+    head, newline, text = text.partition("\n")  # text: the entries, then the bad primes
     fields = _HEADER.fullmatch(head)
     if not (fields and newline):
         raise TableFormatError(f"bad header {head!r}: want '{FORMAT_TAG},a1,a2,a3,a4,a6,limit' and a newline", 1)
@@ -223,17 +223,19 @@ def load_table(path: str | os.PathLike, expect: CurveModel | None = None) -> NpT
         raise TableCurveError(
             f"table curve {curve.spec_text()} does not match expected {expect.spec_text()}", 1
         )
-    start = len(head) + 1
-    cut = text.find("!") if "!" in text else len(text)  # the bad primes follow the entries
-    for lo, hi, malformed, want in ((start, cut, _BAD_ENTRY, "p,np"), (cut, len(text), _BAD_BAD_PRIME, "!p")):
+    cut = text.find("!") if "!" in text else len(text)
+    for lo, hi, malformed, want in ((0, cut, _BAD_ENTRY, "p,np"), (cut, len(text), _BAD_BAD_PRIME, "!p")):
         m = malformed.search(text, lo, hi)
         if m:
             line = text[m.start() :].partition("\n")[0]
-            lineno = text.count("\n", 0, m.start()) + 1
+            lineno = text.count("\n", 0, m.start()) + 2
             raise TableFormatError(f"bad line {line!r}: want '{want}' and a newline", lineno)
-    cols = np.fromstring(text[start:cut].replace("\n", ","), dtype=np.int64, sep=",").reshape(-1, 2)
-    table = NpTable(curve, limit, cols[:, 0], cols[:, 1], (int(b) for b in text[cut:].replace("!", "").split()))
-    del text, cols  # freed before validate sieves (110 MB of peak at limit 5.7e7)
+    bad, rows = text[cut:].replace("!", "").split(), text.count("\n", 0, cut)
+    text = text.replace("\n", ",")  # one copy of the file text at a time (57 MB each at 5.7e7)
+    flat = np.fromstring(text, dtype=np.int64, sep=",", count=2 * rows)  # stops at the bad primes
+    del text
+    table = NpTable(curve, limit, flat[0::2], flat[1::2], bad)
+    del flat  # freed before validate sieves
     table.validate(first_line=2)
     return table
 

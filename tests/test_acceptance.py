@@ -39,7 +39,7 @@ def say(line):
 
 
 def good_primes(model, lo, hi):
-    return [p for p in primes_in_range(lo, hi) if model.disc % p != 0]
+    return [p for p in primes_in_range(lo, hi).tolist() if model.disc % p != 0]
 
 
 # --- criterion 1: chained product identities (exact integers) ---------------

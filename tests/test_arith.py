@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ellnum.arith import (
     FactorSieve,
+    divides,
     divisors,
     factorize,
     iroot,
@@ -19,15 +21,21 @@ from ellnum.arith import (
     primes_up_to,
     reciprocal_prime_sum,
 )
+from ellnum.curves import CurveModel
+from ellnum.table import build_table
 
 
 class TestPrimes:
     def test_examples(self):
-        assert primes_up_to(10) == [2, 3, 5, 7]
+        assert primes_up_to(10).tolist() == [2, 3, 5, 7]
         assert len(primes_up_to(50)) == 15
-        assert primes_up_to(2) == [2]
-        assert primes_up_to(1) == []
-        assert primes_up_to(0) == []
+        assert primes_up_to(2).tolist() == [2]
+        assert primes_up_to(1).tolist() == []
+        assert primes_up_to(0).tolist() == []
+
+    def test_sieves_return_int64_arrays(self):
+        for ps in (primes_up_to(1), primes_up_to(100), primes_in_range(200, 100), primes_in_range(90, 200)):
+            assert isinstance(ps, np.ndarray) and ps.dtype == np.int64
 
     def test_pi_of_10000(self):
         assert len(primes_up_to(10_000)) == 1229
@@ -43,12 +51,12 @@ class TestPrimes:
 
     def test_primes_in_range_matches_filter(self):
         ps = primes_up_to(500)
-        assert primes_in_range(100, 300) == [p for p in ps if 100 <= p <= 300]
-        assert primes_in_range(200, 100) == []
-        assert primes_in_range(-5, 2) == [2]
+        assert primes_in_range(100, 300).tolist() == [p for p in ps.tolist() if 100 <= p <= 300]
+        assert primes_in_range(200, 100).tolist() == []
+        assert primes_in_range(-5, 2).tolist() == [2]
 
     def test_segmented_range(self):
-        got = primes_in_range(2_000_000, 2_000_100)
+        got = primes_in_range(2_000_000, 2_000_100).tolist()
         assert got and all(is_prime(p) for p in got)
         assert all(2_000_000 <= p <= 2_000_100 for p in got)
         assert got == sorted(got)
@@ -61,8 +69,30 @@ class TestPrimes:
     )
     def test_segment_equals_a_slice_of_the_full_sieve(self, lo, hi):
         # windows across 2^20, starting below sqrt(hi), or without a prime
-        ps = primes_up_to(hi)
-        assert primes_in_range(lo, hi) == [p for p in ps if p >= lo]
+        ps = primes_up_to(hi).tolist()
+        assert primes_in_range(lo, hi).tolist() == [p for p in ps if p >= lo]
+
+
+class TestDivides:
+    def test_matches_python_remainders_past_int64(self):
+        # integers of any size, signs and zero, against primes and against int64 moduli up to 2^63 - 25
+        rng = random.Random(21)
+        ps = primes_up_to(100_000)
+        moduli = np.array([1, 2, 3, 2**31 - 1, 2**62 + 135, 2**63 - 25], dtype=np.int64)
+        squarefree = math.prod(rng.sample(ps.tolist(), 40))
+        ns = [0, 1, -37, 2**63, -(2**64) * 97, squarefree, -squarefree * 99_991]
+        ns += [rng.getrandbits(400) for _ in range(20)] + [(2**63 - 25) * (2**31 - 1) * rng.getrandbits(100)]
+        for n in ns:
+            assert divides(ps, n).tolist() == [n % p == 0 for p in ps.tolist()], n
+            assert divides(moduli, n).tolist() == [n % q == 0 for q in moduli.tolist()], n
+
+    def test_good_and_bad_split_of_a_discriminant_past_int64(self):
+        model = CurveModel.from_coefficients(0, 0, 0, 10**7, 10**10)
+        assert abs(model.disc) >= 2**63
+        ps = primes_up_to(100_000)
+        good = ps[~divides(ps, model.disc)]
+        assert good.tolist() == [p for p in ps.tolist() if model.disc % p]
+        assert build_table(model, 3000).bad_primes == (2, 5, 67)  # disc = -2^24 * 5^20 * 67
 
 
 class TestFactorSieve:
@@ -100,10 +130,10 @@ class TestFactorize:
         from sympy import factorint
 
         rng = random.Random(15)
-        ps = primes_in_range(1, 50_000)
+        ps = primes_in_range(1, 50_000).tolist()
         squares = [q * q for q in ps[:20] + ps[-20:]]
         # p * q with p just below sqrt(p * q): the cofactor left is the prime q
-        near_root = [p * q for p, q in zip(ps[-20:], primes_in_range(50_001, 50_400))]
+        near_root = [p * q for p, q in zip(ps[-20:], primes_in_range(50_001, 50_400).tolist())]
         seeded = [rng.randint(2, 2 * 10**9) for _ in range(300)]
         for n in [1, 2, 3, 4, 1_988_217_000] + ps[:50] + ps[-50:] + squares + near_root + seeded:
             assert factorize(n) == sorted(factorint(n).items()), n
@@ -155,11 +185,11 @@ class TestAdditiveFunctions:
         root = math.isqrt(limit)
         rng = random.Random(20_000)
         ns = [rng.randint(2, limit) for _ in range(2000)]
-        near_root = primes_in_range(root - 60, root)
+        near_root = primes_in_range(root - 60, root).tolist()
         ns += [q * q for q in near_root]
-        ns += primes_in_range(limit - 200, limit)
-        ns += [2 * p for p in primes_in_range(limit // 2 - 100, limit // 2)]
-        pairs = [(q, p) for q in (2, 3, 5, near_root[0]) for p in primes_in_range(root + 1, root + 60)]
+        ns += primes_in_range(limit - 200, limit).tolist()
+        ns += [2 * p for p in primes_in_range(limit // 2 - 100, limit // 2).tolist()]
+        pairs = [(q, p) for q in (2, 3, 5, near_root[0]) for p in primes_in_range(root + 1, root + 60).tolist()]
         ns += [q * p for q, p in pairs if q * p <= limit]
         table = omega_table(limit)
         for n in ns:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ellnum import counting, parse_curve
+from ellnum import counting, parse_curve, search
 from ellnum.arith import is_prime, primes_in_range, primes_up_to
 from ellnum.counting import (
     CHARSUM_THRESHOLD,
@@ -20,7 +20,7 @@ from ellnum.counting import (
 )
 from ellnum.curves import ReducedCurve
 from ellnum.errors import BadReductionError, EllnumError
-from ellnum.search import g1, hasse_prime_window
+from ellnum.search import find_progressions, g1, gk_solutions, hasse_prime_window
 from ellnum.table import CHUNK_PRIMES, build_table
 
 # y^2 = x^3 - x: complex multiplication and full 2-torsion, so points of
@@ -47,7 +47,7 @@ def strong_probable_prime(n, a):
 
 
 def good_primes(model, lo, hi):
-    return [p for p in primes_in_range(lo, hi) if model.disc % p != 0]
+    return [p for p in primes_in_range(lo, hi).tolist() if model.disc % p != 0]
 
 
 def short_model_lanes(model, p):
@@ -331,7 +331,7 @@ class TestLanes:
         # the base 2 below 1e6, which the bases 7 and 61 must catch
         n = np.arange(LANE_PRIME_FLOOR + 2, 200_001, 2, dtype=np.int64)
         assert counting._is_prime_lanes(n).tolist() == [is_prime(v) for v in n.tolist()]
-        primes = set(primes_up_to(1_000_000))
+        primes = set(primes_up_to(1_000_000).tolist())
         fermat = [v for v in range(3, 1_000_000, 2) if pow(2, v - 1, v) == 1 and v not in primes]
         psp = [v for v in fermat if strong_probable_prime(v, 2)]
         assert len(psp) == 46 and psp[0] == 2047
@@ -410,6 +410,59 @@ class TestLanes:
             count_points(curve_a, [5, 37])
         with pytest.raises(ValueError):
             count_points(curve_a, [100_003, 100_001])  # 100001 = 11 * 9091
+
+
+
+class TestSievedBatches:
+    """Sieve output reaches the lanes without a second primality proof;
+    every other batch is proved prime lane by lane."""
+
+    def test_searches_and_builds_prove_no_sieved_prime_again(self, curve_a, monkeypatch):
+        proofs, lanes = [], []
+        real_proof, real_lanes = counting._is_prime_lanes, counting._lane_counts
+
+        def proof(p):
+            proofs.append(len(p))
+            return real_proof(p)
+
+        def lane_counts(model, p, *args):
+            lanes.append(len(p))
+            return real_lanes(model, p, *args)
+
+        monkeypatch.setattr(counting, "_is_prime_lanes", proof)
+        monkeypatch.setattr(counting, "_lane_counts", lane_counts)
+        monkeypatch.setattr(search, "_SMALLEST_CACHE", {})
+        for run in (
+            lambda: g1(curve_a, 1_000_000),
+            lambda: find_progressions(curve_a, 1_000_000, 1_000_500),
+            lambda: gk_solutions(curve_a, 2, 100_000),
+            lambda: build_table(curve_a, 20_000),
+        ):
+            lanes.clear()
+            run()
+            assert sum(lanes) > 0 and proofs == []  # lanes ran, and none was proved prime
+        ps = good_primes(curve_a, 1_000_000, 1_002_000)
+        count_points(curve_a, ps)
+        assert proofs == [len(ps)]
+
+    def test_a_composite_at_the_end_of_a_long_batch_raises(self, curve_a, monkeypatch):
+        blocks = spy_lane_blocks(monkeypatch)
+        ps = good_primes(curve_a, 1_000_000, 1_040_000)[:2000]
+        assert len(ps) == 2000
+        with pytest.raises(ValueError, match="1022117 is not prime"):
+            count_points(curve_a, ps + [1009 * 1013])
+        assert blocks == []  # refused before any lane is counted
+
+    def test_window_split_on_a_discriminant_past_int64(self):
+        # y^2 = x^3 + 1000003 * 10^6: disc = -432 a6^2, and the prime 1000003 divides it
+        model = parse_curve("0,0,0,0,1000003000000")
+        assert abs(model.disc) >= 2**63 and model.disc % 1_000_003 == 0
+        lo, hi = 999_700, 1_000_300
+        ps, nps = search._np_window(model, lo, hi, None, 0)
+        assert ps == [p for p in primes_in_range(lo, hi).tolist() if model.disc % p]
+        assert nps == [count_points(model, p) for p in ps]
+        with pytest.raises(BadReductionError):
+            count_points(model, ps + [1_000_003])
 
 
 def orders(xl, x0, n):
@@ -502,7 +555,7 @@ class TestWithin:
 
 class TestHasseInvariants:
     def test_hasse_bounds_are_exact(self):
-        for p in primes_up_to(3000):
+        for p in primes_up_to(3000).tolist():
             lo, hi = hasse_bounds(p)
             s = math.isqrt(4 * p)
             assert (lo, hi) == (p + 1 - s, p + 1 + s)

@@ -106,7 +106,7 @@ class TestTwoTorsion:
 
     def test_divides_every_count_and_twist_count_to_2e4(self):
         for model, t in [(m, t) for m, t in TWO_TORSION_CURVES if t > 1]:
-            for p in primes_up_to(20_000)[1:]:
+            for p in primes_up_to(20_000)[1:].tolist():
                 if model.disc % p:
                     rc = ReducedCurve.reduce(model, p)
                     n = count_naive(rc) if p == 3 else count_charsum(rc)
@@ -127,8 +127,8 @@ class TestGoodPrimes:
     def test_bad_sets_are_exactly_the_disc_primes(self, curve_a, curve_b):
         from ellnum.arith import primes_up_to
 
-        bad_a = [p for p in primes_up_to(200) if not is_good_prime(curve_a, p)]
-        bad_b = [p for p in primes_up_to(200) if not is_good_prime(curve_b, p)]
+        bad_a = [p for p in primes_up_to(200).tolist() if not is_good_prime(curve_a, p)]
+        bad_b = [p for p in primes_up_to(200).tolist() if not is_good_prime(curve_b, p)]
         assert bad_a == [37]
         assert bad_b == [71, 109]
 

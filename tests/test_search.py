@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -319,8 +319,22 @@ class TestCensus:
 
 
 def _brute_products(vals, k, x, repeat=False):
-    pick = combinations_with_replacement if repeat else combinations
-    return Counter(n for c in pick(vals, k) if (n := math.prod(c)) <= x)
+    """The products <= x of the k-combinations of vals (with repetition when
+    `repeat`), counted by nested loops over the sorted values: a loop breaks
+    once its value, taken for every factor still to place, passes x."""
+    vals, out = sorted(vals), Counter()
+
+    def loop(start, rem, prod):
+        for i in range(start, len(vals)):
+            if prod * vals[i] ** rem > x:
+                break
+            if rem == 1:
+                out[prod * vals[i]] += 1
+            else:
+                loop(i if repeat else i + 1, rem - 1, prod * vals[i])
+
+    loop(0, k, 1)
+    return out
 
 
 def _block_products(vals, blocks):
