@@ -53,12 +53,19 @@ def primes_up_to(x: int) -> np.ndarray:
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """Primes p with lo <= p <= hi, ascending, as an int64 array, by segmented sieve."""
+    """Primes p with lo <= p <= hi, ascending, as an int64 array: [lo, hi] is
+    sieved by the base primes <= isqrt(hi), which one sieve of [0, isqrt(hi)]
+    finds with a Python loop over i <= hi^(1/4) only."""
     if hi < 2 or hi < lo:
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 2)
+    base = np.ones(math.isqrt(hi) + 1, dtype=bool)
+    base[:2] = False
+    for i in range(2, math.isqrt(len(base) - 1) + 1):
+        if base[i]:
+            base[i * i :: i] = False
     sieve = np.ones(hi - lo + 1, dtype=bool)
-    for q in primes_up_to(math.isqrt(hi)).tolist():
+    for q in np.flatnonzero(base).tolist():
         start = max(q * q, (lo + q - 1) // q * q)
         sieve[start - lo :: q] = False
     ps = np.flatnonzero(sieve).astype(np.int64, copy=False)

@@ -1,9 +1,11 @@
 """Command-line surface: np, table, g1, progressions, gk, census, moments,
 mertens, pied, and the verify-paper golden suite.
 
-Every command prints a JSON payload on stdout by default (csv and
-table-text are available where they make sense) and a one-line
-reproducibility stamp on stderr. Output is deterministic for fixed
+Every command prints a JSON payload on stdout (table, progressions,
+census and moments also print csv under --format csv) and a one-line
+reproducibility stamp on stderr. Each command takes only the options
+it reads: --curve and --seed everywhere, --cache and --workers on the
+commands that provision a table. Output is deterministic for fixed
 flags and seed. Exit codes: 0 success, 1 operation error, 2 bad
 reduction, 64 usage.
 """
@@ -40,85 +42,80 @@ class _Parser(argparse.ArgumentParser):
 
 def _stamp(args, model: CurveModel, limit=None) -> None:
     limit_s = str(limit) if limit is not None else "-"
+    workers_s = f" workers={args.workers}" if "workers" in args else ""
     print(
-        f"# ellnum {__version__} curve={model.spec_text()} limit={limit_s} "
-        f"seed={args.seed} workers={args.workers}",
+        f"# ellnum {__version__} curve={model.spec_text()} limit={limit_s} seed={args.seed}{workers_s}",
         file=sys.stderr,
     )
 
 
-def _emit(args, payload: dict, csv_lines=None, table_lines=None) -> None:
-    """Print what csv_lines() or table_lines() returns for those formats, else the JSON payload."""
-    if args.format == "csv" and csv_lines is not None:
+def _emit(args, payload: dict, csv_lines=None) -> None:
+    """Print what csv_lines() returns under --format csv, else the JSON payload."""
+    if vars(args).get("format") == "csv":
         print("\n".join(csv_lines()))
-    elif args.format == "table-text" and table_lines is not None:
-        print("\n".join(table_lines()))
     else:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _add_common(sp):
+def _command(sub, name: str, summary: str, *, table: bool = False, csv: bool = False) -> _Parser:
+    """A subcommand with --curve and --seed; --cache and --workers if it
+    provisions a table; --format if it has a csv form."""
+    sp = sub.add_parser(name, help=summary)
     sp.add_argument("--curve", default=DEFAULT_CURVE, help="a1,a2,a3,a4,a6 (default 37a: %(default)s)")
-    sp.add_argument("--cache", default="cache", help="table cache directory (default: %(default)s)")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--format", choices=["json", "csv", "table-text"], default="json")
     sp.add_argument("--seed", type=int, default=0)
+    if table:
+        sp.add_argument("--cache", default="cache", help="table cache directory (default: %(default)s)")
+        sp.add_argument("--workers", type=int, default=1)
+    if csv:
+        sp.add_argument("--format", choices=["json", "csv"], default="json")
+    return sp
 
 
 def build_parser() -> _Parser:
     ap = _Parser(prog="ellnum", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("np", help="point count at one prime")
-    _add_common(p)
+    p = _command(sub, "np", "point count at one prime")
     p.add_argument("--prime", type=int, required=True)
 
-    p = sub.add_parser("table", help="build (or reuse) the N_p table up to a limit")
-    _add_common(p)
+    p = _command(sub, "table", "build (or reuse) the N_p table up to a limit", table=True, csv=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--out", default=None, help="also write the table to this path")
 
-    p = sub.add_parser("g1", help="all primes with N_p = n")
-    _add_common(p)
+    p = _command(sub, "g1", "all primes with N_p = n")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("progressions", help="all n in a range with G_1(n) >= m")
-    _add_common(p)
+    p = _command(sub, "progressions", "all n in a range with G_1(n) >= m", csv=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--min-mult", type=int, default=2)
 
-    p = sub.add_parser("gk", help="all k-sets of distinct good primes with N-product n")
-    _add_common(p)
+    p = _command(sub, "gk", "all k-sets of distinct good primes with N-product n")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ordered", action="store_true",
                    help="also report the ordered-tuple count k! * count")
 
-    p = sub.add_parser("census", help="G_k(n) for every attained n <= x")
-    _add_common(p)
+    p = _command(sub, "census", "G_k(n) for every attained n <= x", table=True, csv=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
 
-    p = sub.add_parser("moments", help="centered moments of omega(N_p) up to x")
-    _add_common(p)
+    p = _command(sub, "moments", "centered moments of omega(N_p) up to x", table=True, csv=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--bins", type=int, default=0, help="also emit a standardized histogram")
+    p.add_argument("--bins", type=int, default=0,
+                   help="also emit a standardized histogram (the csv form; --format csv needs it)")
 
-    p = sub.add_parser("mertens", help="reciprocal prime sums in [x^a, x^b) split by admissibility")
-    _add_common(p)
+    p = _command(sub, "mertens", "reciprocal prime sums in [x^a, x^b) split by admissibility", table=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--a", type=float, default=1 / 8)
     p.add_argument("--b", type=float, default=1 / 4)
     p.add_argument("--epsilon", type=float, default=0.008)
 
-    p = sub.add_parser("pied", help="count good primes p <= x with d | N_p")
-    _add_common(p)
+    p = _command(sub, "pied", "count good primes p <= x with d | N_p", table=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("verify-paper", help="golden checks of the published numeric surface")
-    _add_common(p)
+    p = _command(sub, "verify-paper", "golden checks of the published numeric surface", table=True)
     p.add_argument("--extended", action="store_true",
                    help="also run the census witness check at x = 2*10^9 (minutes)")
 
@@ -150,8 +147,7 @@ def cmd_table(args, model) -> int:
 def cmd_g1(args, model) -> int:
     _stamp(args, model)
     rec = g1(model, args.n, seed=args.seed)
-    _emit(args, rec.as_dict(),
-          table_lines=lambda: [f"n={rec.n} multiplicity={rec.multiplicity} primes={list(rec.primes)}"])
+    _emit(args, rec.as_dict())
     return EXIT_OK
 
 
@@ -191,6 +187,9 @@ def cmd_census(args, model) -> int:
 
 
 def cmd_moments(args, model) -> int:
+    if args.format == "csv" and args.bins <= 0:
+        print("ellnum moments: error: --format csv is the histogram, so it needs --bins > 0", file=sys.stderr)
+        return EXIT_USAGE
     _stamp(args, model, args.x)
     table = covering_table(None, model, args.x, args.cache, args.workers, args.seed)
     rep = moments(table, args.x)

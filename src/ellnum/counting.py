@@ -208,10 +208,11 @@ def count_points(
     side, in one retry round; count_bsgs takes the rest and any prime past
     LANE_PRIME_CAP.
 
-    With within = (a, b), a batch gives N_p where a <= N_p <= b and 0
-    elsewhere (N_p >= 1, so 0 is no count). The first point then looks
-    only where N_p may lie: [a, b] on E, [2p + 2 - b, 2p + 2 - a] on the
-    twist, cut to the Hasse interval (unless that keeps over half of it).
+    With within = (a, b), count_points gives N_p where a <= N_p <= b and
+    0 elsewhere (N_p >= 1, so 0 is no count), for one prime as for a
+    batch. In a batch, the first point looks only where N_p may lie:
+    [a, b] on E, [2p + 2 - b, 2p + 2 - a] on the twist, cut to the Hasse
+    interval (unless that keeps over half of it).
     By Lagrange's theorem a clean lane that finds no multiple of ord(P)
     there, or whose cut holds no multiple of t, has N_p outside and is
     done. A lane with a hit, or a dirty one, runs that point again over
@@ -223,10 +224,12 @@ def count_points(
     if isinstance(p, (int, np.integer)):
         rc = ReducedCurve.reduce(model, int(p))
         if rc.p <= 3:
-            return count_naive(rc)
-        if rc.p <= CHARSUM_THRESHOLD:
-            return count_charsum(rc)
-        return count_bsgs(rc, seed=seed)
+            n = count_naive(rc)
+        elif rc.p <= CHARSUM_THRESHOLD:
+            n = count_charsum(rc)
+        else:
+            n = count_bsgs(rc, seed=seed)
+        return n if not within or within[0] <= n <= within[1] else 0
     ps = np.asarray(p, dtype=np.int64)
     lane = (LANE_PRIME_FLOOR < ps) & (ps < LANE_PRIME_CAP)
     lane[lane] = ~divides(ps[lane], model.disc)

@@ -245,6 +245,17 @@ def cache_path(cache_dir: str | os.PathLike, model: CurveModel, limit: int) -> s
     return os.path.join(os.fspath(cache_dir), f"{a1}_{a2}_{a3}_{a4}_{a6}_{limit}.ellnum")
 
 
+def _covering_file(cache_dir: str | os.PathLike, model: CurveModel, limit: int) -> str | None:
+    """The cache_path of `model` in `cache_dir` with the smallest limit >= `limit`, if any."""
+    try:
+        names = set(os.listdir(cache_dir))
+    except FileNotFoundError:
+        return None
+    limits = {int(m[1]) for m in (re.search(r"_([0-9]+)\.ellnum\Z", name) for name in names) if m}
+    covering = [n for n in limits if n >= limit and os.path.basename(cache_path(cache_dir, model, n)) in names]
+    return cache_path(cache_dir, model, min(covering)) if covering else None
+
+
 def covering_table(
     table: NpTable | None,
     model: CurveModel,
@@ -254,9 +265,10 @@ def covering_table(
     seed: int = 0,
 ) -> NpTable:
     """`table` itself, which must be of `model` and cover `limit`; with no
-    table, the one of `model` to `limit` loaded from `cache_dir`, else built
-    (and saved there, given a cache directory). A cached file that fails
-    validation is reported, never silently rebuilt."""
+    table, the prefix to `limit` of the smallest file of `model` in
+    `cache_dir` that covers it (it saves byte-identical to a fresh build),
+    else a build to `limit`, saved there given a cache directory. A cached
+    file that fails validation is reported, never silently rebuilt."""
     if table is not None:
         if table.curve.coefficients != model.coefficients or table.limit < limit:
             raise TableError(
@@ -266,9 +278,13 @@ def covering_table(
         return table
     if cache_dir is None:
         return build_table(model, limit, workers, seed)
-    path = cache_path(cache_dir, model, limit)
-    if os.path.exists(path):
-        return covering_table(load_table(path, expect=model), model, limit)
-    table = build_table(model, limit, workers, seed)
-    save_table(table, path)
-    return table
+    path = _covering_file(cache_dir, model, limit)
+    if path is None:
+        table = build_table(model, limit, workers, seed)
+        save_table(table, cache_path(cache_dir, model, limit))
+        return table
+    table = covering_table(load_table(path, expect=model), model, limit)
+    if table.limit == limit:
+        return table
+    ps, nps = table.upto(limit)  # copied, so the larger table's columns are freed
+    return NpTable(model, limit, ps.copy(), nps.copy(), [b for b in table.bad_primes if b <= limit])

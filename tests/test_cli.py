@@ -58,6 +58,74 @@ class TestUsageErrors:
         assert "--budget" in proc.stderr and proc.stdout == ""
 
 
+# Every subcommand's options, in the order it declares them: each takes only
+# the options its handler reads (57 in all, -h aside).
+OPTIONS = {
+    "np": ["--curve", "--seed", "--prime"],
+    "table": ["--curve", "--seed", "--cache", "--workers", "--format", "--limit", "--out"],
+    "g1": ["--curve", "--seed", "--n"],
+    "progressions": ["--curve", "--seed", "--format", "--lo", "--hi", "--min-mult"],
+    "gk": ["--curve", "--seed", "--k", "--n", "--ordered"],
+    "census": ["--curve", "--seed", "--cache", "--workers", "--format", "--k", "--x"],
+    "moments": ["--curve", "--seed", "--cache", "--workers", "--format", "--x", "--bins"],
+    "mertens": ["--curve", "--seed", "--cache", "--workers", "--x", "--a", "--b", "--epsilon"],
+    "pied": ["--curve", "--seed", "--cache", "--workers", "--x", "--d"],
+    "verify-paper": ["--curve", "--seed", "--cache", "--workers", "--extended"],
+}
+
+
+class TestOptions:
+    def test_each_command_declares_only_what_it_reads(self):
+        from ellnum.cli import build_parser
+
+        (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+        got = {
+            name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 57
+
+    @pytest.mark.parametrize("args", [
+        ("np", "--prime", "1009", "--cache", "x"),
+        ("np", "--prime", "1009", "--workers", "2"),
+        ("np", "--prime", "1009", "--format", "json"),
+        ("g1", "--n", "624", "--cache", "x"),
+        ("g1", "--n", "624", "--workers", "2"),
+        ("g1", "--n", "624", "--format", "json"),
+        ("progressions", "--lo", "600", "--hi", "700", "--cache", "x"),
+        ("progressions", "--lo", "600", "--hi", "700", "--workers", "2"),
+        ("gk", "--k", "3", "--n", "3360", "--cache", "x"),
+        ("gk", "--k", "3", "--n", "3360", "--workers", "2"),
+        ("gk", "--k", "3", "--n", "3360", "--format", "csv"),
+        ("mertens", "--x", "1000", "--format", "json"),
+        ("pied", "--x", "50", "--d", "1", "--format", "json"),
+        ("verify-paper", "--format", "json"),
+        ("g1", "--n", "624", "--format", "table-text"),
+        ("census", "--k", "2", "--x", "100", "--format", "table-text"),
+        ("moments", "--x", "100", "--format", "csv"),
+    ], ids=lambda a: " ".join((a[0],) + a[-2:]))
+    def test_an_option_a_command_does_not_read_is_a_usage_error(self, args, tmp_path, capsys, monkeypatch):
+        from ellnum import cli
+
+        monkeypatch.chdir(tmp_path)  # no table lands in the working directory
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (64, "") and "error:" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_workers_stamped_only_where_taken(self, tmp_path, capsys):
+        from ellnum import cli
+
+        assert cli.main(["np", "--prime", "11"]) == 0
+        assert cli.main(["pied", "--x", "50", "--d", "1", "--cache", str(tmp_path)]) == 0
+        np_stamp, pied_stamp = capsys.readouterr().err.splitlines()
+        assert np_stamp.endswith(" seed=0") and pied_stamp.endswith(" seed=0 workers=1")
+
+
 class TestG1Command:
     def test_json_schema(self):
         proc = run_cli("g1", "--curve", "0,0,3,-1,2", "--n", "624")
@@ -217,6 +285,7 @@ GOLDEN_STDOUT = {
 
 @pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=lambda a: a[0])
 def test_golden_stdout(args, tmp_path):
-    proc = subprocess.run(CMD + list(args) + ["--cache", str(tmp_path)], capture_output=True, timeout=600)
+    cache = ["--cache", str(tmp_path)] if "--cache" in OPTIONS[args[0]] else []
+    proc = subprocess.run(CMD + list(args) + cache, capture_output=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_STDOUT[args]

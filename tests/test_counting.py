@@ -524,6 +524,17 @@ class TestWithin:
         assert count_points(curve_a, ps, within=(100, 200)) == [v if 100 <= v <= 200 else 0 for v in full]
         assert count_points(curve_a, [], within=(1, 5)) == []
 
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_one_prime_is_masked_like_a_batch(self, curve_a, kind):
+        # one prime per counting method: enumeration, charsum and BSGS
+        for q in (3, 1009, 1_000_003):
+            n = count_points(curve_a, q)
+            for a, b in ((n, n), (n - 5, n + 5), (1, n - 1), (n + 1, 2**70), (n, n - 1)):
+                want = n if a <= n <= b else 0
+                assert count_points(curve_a, kind(q), within=(a, b)) == want == count_points(
+                    curve_a, [q], within=(a, b)
+                )[0], (q, a, b)
+
     @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, *TWO_TORSION_SPECS])
     def test_a_clean_lane_says_none_only_when_no_multiple_lies_in_range(self, spec):
         # every x0 of small primes, each with a random [a, b] inside its Hasse

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from ellnum import counting
+from ellnum import table as table_mod
 from ellnum.arith import primes_up_to
 from ellnum.errors import (
     TableCurveError,
@@ -346,14 +347,56 @@ class TestCache:
         assert t1 == t2
         assert os.path.getmtime(path) == stamp
 
+    @staticmethod
+    def refuse_builds(monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built although a cached table covers the request")
+
+        monkeypatch.setattr(table_mod, "build_table", no_build)
+
+    def test_a_larger_cached_table_serves_by_prefix(self, curve_a, tmp_path, monkeypatch):
+        d = tmp_path / "cache"
+        covering_table(None, curve_a, 3000, cache_dir=d)
+        with open(f"{cache_path(d, curve_a, 2000)}.123.tmp", "w") as fh:  # a write in progress never serves
+            fh.write("ellnum-v1,0,0,1,-1,0,2000\n")
+        fresh = {limit: build_table(curve_a, limit) for limit in (2964, 2935, 37, 36)}
+        self.refuse_builds(monkeypatch)
+        for limit, want in fresh.items():
+            served = covering_table(None, curve_a, limit, cache_dir=d)
+            assert served == want and served.limit == limit
+            save_table(served, tmp_path / "served")
+            save_table(want, tmp_path / "fresh")
+            assert (tmp_path / "served").read_bytes() == (tmp_path / "fresh").read_bytes()
+        assert sorted(os.listdir(d)) == ["0_0_1_-1_0_2000.ellnum.123.tmp", "0_0_1_-1_0_3000.ellnum"]
+
+    def test_the_smallest_covering_file_serves(self, curve_a, tmp_path, monkeypatch):
+        for limit in (100, 500, 3000):
+            covering_table(None, curve_a, limit, cache_dir=tmp_path)
+        loaded = []
+        monkeypatch.setattr(table_mod, "load_table", lambda path, expect: loaded.append(path) or load_table(path))
+        self.refuse_builds(monkeypatch)
+        assert covering_table(None, curve_a, 200, cache_dir=tmp_path) == build_table(curve_a, 200)
+        assert covering_table(None, curve_a, 500, cache_dir=tmp_path).limit == 500
+        assert loaded == [cache_path(tmp_path, curve_a, 500)] * 2
+
+    def test_a_request_past_every_file_builds_at_its_limit(self, curve_a, curve_b, tmp_path):
+        covering_table(None, curve_a, 100, cache_dir=tmp_path)
+        covering_table(None, curve_b, 500, cache_dir=tmp_path)  # another curve's file never serves
+        assert covering_table(None, curve_a, 200, cache_dir=tmp_path) == build_table(curve_a, 200)
+        assert sorted(os.listdir(tmp_path)) == [
+            "0_0_1_-1_0_100.ellnum", "0_0_1_-1_0_200.ellnum", "0_0_3_-1_2_500.ellnum"
+        ]
+
     def test_corrupt_cache_surfaces_error(self, curve_a, tmp_path):
         d = tmp_path / "cache"
         d.mkdir()
         path = cache_path(str(d), curve_a, 101)
         with open(path, "w") as fh:
             fh.write("ellnum-v1,0,0,1,-1,0,101\n2,5\n101,300\n")
-        with pytest.raises(TableHasseError):
-            covering_table(None, curve_a, 101, cache_dir=str(d))
+        for limit in (101, 50):  # the file covers both requests
+            with pytest.raises(TableHasseError):
+                covering_table(None, curve_a, limit, cache_dir=str(d))
+        assert os.listdir(d) == [os.path.basename(path)]
 
     def test_cached_file_short_of_its_name_raises(self, curve_a, tmp_path):
         # a valid table to 50 saved under the name of the table to 100
