@@ -17,7 +17,7 @@ import random
 import numpy as np
 
 from .arith import divides
-from .curves import CurveModel, Point, ReducedCurve, _add_raw, legendre, point_neg, scalar_mul, sqrt_mod
+from .curves import CurveModel, Point, ReducedCurve, _add_raw, point_neg, scalar_mul
 from .errors import EllnumError
 
 # Characters sums stay exact in int64 up to here; BSGS has no such cap.
@@ -96,34 +96,23 @@ def count_charsum(rc: ReducedCurve) -> int:
     return 1 + zeros + 2 * qr_hits
 
 
-def _random_point(rc: ReducedCurve, rng: random.Random) -> Point:
-    """A uniform-ish affine point, solving the y-quadratic at random x; p odd."""
-    p = rc.p
-    inv2 = pow(2, -1, p)
+def _draw_point(rc: ReducedCurve, rng: random.Random, twist: bool) -> tuple[ReducedCurve, Point]:
+    """A random point on E, or on its quadratic twist, with no square root; p odd.
+
+    E is y^2 = f(x) = x^3 + b2 x^2 + 8 b4 x + 16 b6 over F_p. For a random x
+    with f = f(x) on the wanted side of Euler's criterion, (f x, f^2) lies
+    on y^2 = x^3 + f b2 x^2 + f^2 8 b4 x + f^3 16 b6, the twist of E by f,
+    which is E itself when f is a square. A root of f gives (x, 0) on E,
+    of order 2, which serves either side.
+    """
+    p, m = rc.p, rc.model
     while True:
         x = rng.randrange(p)
-        d = rc.rhs_discriminant(x)
-        y2 = sqrt_mod(d, p)
-        if y2 is None:
-            continue
-        if rng.getrandbits(1):
-            y2 = (-y2) % p
-        y = (y2 - rc.a1 * x - rc.a3) * inv2 % p
-        return (x, y)
-
-
-def _twist_curve(rc: ReducedCurve) -> ReducedCurve:
-    """Quadratic twist by the least nonresidue, as a reduced short model; p >= 5."""
-    p = rc.p
-    d = 2
-    while legendre(d, p) != -1:
-        d += 1
-    inv2 = pow(2, -1, p)
-    inv4 = inv2 * inv2 % p
-    c2 = rc.model.b2 * inv4 % p
-    c1 = rc.model.b4 * inv2 % p
-    c0 = rc.model.b6 * inv4 % p
-    return ReducedCurve(rc.model, p, 0, c2 * d % p, 0, c1 * d * d % p, c0 * d * d * d % p)
+        f = (((x + m.b2) * x + 8 * m.b4) * x + 16 * m.b6) % p
+        if f == 0 or (pow(f, (p - 1) // 2, p) != 1) == twist:
+            d = f or 1
+            curve = ReducedCurve(m, p, 0, d * m.b2 % p, 0, d * d * 8 * m.b4 % p, d**3 * 16 * m.b6 % p)
+            return curve, (d * x % p, d * f % p)
 
 
 def _order_multiples_in_interval(rc: ReducedCurve, P: Point, lo: int, hi: int) -> set[int]:
@@ -172,16 +161,11 @@ def count_bsgs(rc: ReducedCurve, seed: int = 0) -> int:
         return {t * n for n in _order_multiples_in_interval(curve, scalar_mul(curve, t, P), -(-lo // t), hi // t)}
 
     candidates: set[int] | None = None
-    for _ in range(BSGS_POINT_BUDGET):
-        found = multiples(rc, _random_point(rc, rng))
+    for twist in [False] * BSGS_POINT_BUDGET + [True] * BSGS_TWIST_BUDGET:
+        found = multiples(*_draw_point(rc, rng, twist))
+        if twist:  # twist order m' determines the curve order 2p + 2 - m'
+            found = {2 * p + 2 - m for m in found}
         candidates = found if candidates is None else candidates & found
-        if len(candidates) == 1:
-            return candidates.pop()
-    twist = _twist_curve(rc)
-    for _ in range(BSGS_TWIST_BUDGET):
-        # twist order m' determines the curve order 2p + 2 - m'
-        mirrored = {2 * p + 2 - m for m in multiples(twist, _random_point(twist, rng))}
-        candidates = mirrored if candidates is None else candidates & mirrored
         if len(candidates) == 1:
             return candidates.pop()
     if p <= CHARSUM_THRESHOLD:

@@ -142,17 +142,6 @@ class ReducedCurve:
     def coefficients(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def rhs_discriminant(self, x: int) -> int:
-        """Discriminant of the y-quadratic at x: (a1*x+a3)^2 + 4*f(x) mod p.
-
-        Equals 4*x^3 + b2*x^2 + 2*b4*x + b6 mod p; the number of points
-        above x is 1 + chi(value) for odd p.
-        """
-        p = self.p
-        f = (((x + self.a2) * x + self.a4) * x + self.a6) % p
-        t = (self.a1 * x + self.a3) % p
-        return (t * t + 4 * f) % p
-
     def is_on_curve(self, P: Point) -> bool:
         if P is None:
             return True
@@ -170,13 +159,12 @@ def point_neg(rc: ReducedCurve, P: Point) -> Point:
     return (x, (-y - rc.a1 * x - rc.a3) % rc.p)
 
 
-def point_add(rc: ReducedCurve, P: Point, Q: Point, *, check: bool = True) -> Point:
+def point_add(rc: ReducedCurve, P: Point, Q: Point) -> Point:
     """Chord-tangent sum of two points on the five-coefficient model."""
-    if check:
-        if not rc.is_on_curve(P):
-            raise ValueError(f"point {P} is not on the curve mod {rc.p}")
-        if not rc.is_on_curve(Q):
-            raise ValueError(f"point {Q} is not on the curve mod {rc.p}")
+    if not rc.is_on_curve(P):
+        raise ValueError(f"point {P} is not on the curve mod {rc.p}")
+    if not rc.is_on_curve(Q):
+        raise ValueError(f"point {Q} is not on the curve mod {rc.p}")
     return _add_raw(rc.p, rc.a1, rc.a2, rc.a3, rc.a4, rc.a6, P, Q)
 
 
@@ -230,35 +218,3 @@ def legendre(a: int, p: int) -> int:
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
 
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None if a is a non-residue.
-
-    Tonelli-Shanks; the p % 4 == 3 case is handled by a single power.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r

@@ -49,6 +49,11 @@ class TestPrimes:
         for n in range(0, 3000):
             assert is_prime(n) == trial(n), n
 
+    def test_is_prime_past_the_bases_up_to_37(self):
+        # psi_12 (Sorenson-Webster), the least strong pseudoprime to every prime base up to 37
+        assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
+        assert is_prime(399165290221) and is_prime(798330580441)
+
     def test_primes_in_range_matches_filter(self):
         ps = primes_up_to(500)
         assert primes_in_range(100, 300).tolist() == [p for p in ps.tolist() if 100 <= p <= 300]

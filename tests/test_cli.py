@@ -30,6 +30,11 @@ class TestNp:
         proc = run_cli("np", "--curve", "0,0,1,-1,0", "--prime", "37", expect=2)
         assert "bad reduction" in proc.stderr
 
+    def test_strong_pseudoprime_to_bases_up_to_37_exits_1(self):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every base up to 37
+        proc = run_cli("np", "--prime", "318665857834031151167461", expect=1)
+        assert "318665857834031151167461 is not prime" in proc.stderr
+
     def test_stamp_on_stderr(self):
         proc = run_cli("np", "--prime", "11")
         assert proc.stderr.startswith("# ellnum")

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ellnum import counting, parse_curve, search
+from ellnum import arith, counting, curves, parse_curve, search
 from ellnum.arith import is_prime, primes_in_range, primes_up_to
 from ellnum.counting import (
     CHARSUM_THRESHOLD,
@@ -18,7 +18,7 @@ from ellnum.counting import (
     count_points,
     hasse_bounds,
 )
-from ellnum.curves import ReducedCurve
+from ellnum.curves import ReducedCurve, scalar_mul
 from ellnum.errors import BadReductionError, EllnumError
 from ellnum.search import find_progressions, g1, gk_solutions, hasse_prime_window
 from ellnum.table import CHUNK_PRIMES, build_table
@@ -163,6 +163,61 @@ class TestBsgs:
         assert curve_a.spec_text() in str(exc.value)
         below = ReducedCurve.reduce(curve_a, 1009)
         assert count_bsgs(below) == count_charsum(below) == 1057
+
+
+class _FixedX:
+    """A stand-in rng whose every draw is x."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def randrange(self, p):
+        return self.x
+
+
+class TestDrawPoint:
+    @pytest.mark.parametrize("spec", ["0,0,1,-1,0", CM_SPEC, *TWO_TORSION_SPECS])
+    def test_every_x_gives_a_point_of_its_side(self, spec):
+        # N_p kills a point of E's side and 2p + 2 - N_p one of the twist's;
+        # a root of f gives a point of order 2, which either side may take
+        model = parse_curve(spec)
+        for p in good_primes(model, 5, 400):
+            rc = ReducedCurve.reduce(model, p)
+            n = count_charsum(rc)
+            for x in range(p):
+                f = (((x + model.b2) * x + 8 * model.b4) * x + 16 * model.b6) % p
+                for twist in [False, True] if f == 0 else [pow(f, (p - 1) // 2, p) != 1]:
+                    curve, P = counting._draw_point(rc, _FixedX(x), twist)
+                    assert curve.is_on_curve(P), (p, x)
+                    if f == 0:
+                        assert P is not None and scalar_mul(curve, 2, P) is None, (p, x)
+                    else:
+                        assert scalar_mul(curve, 2 * p + 2 - n if twist else n, P) is None, (p, x, twist)
+
+    def test_count_bsgs_proves_nothing_prime(self, curve_a, monkeypatch):
+        # ReducedCurve.reduce proved p prime once; no draw tests it again
+        rcs = [
+            ReducedCurve.reduce(model, p)
+            for model in (curve_a, parse_curve(CM_SPEC))
+            for p in [1009, *good_primes(model, CHARSUM_THRESHOLD, CHARSUM_THRESHOLD + 200)]
+        ]
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(arith, "is_prime", spy("is_prime", arith.is_prime))
+        monkeypatch.setattr(curves, "is_prime", spy("is_prime", curves.is_prime))
+        monkeypatch.setattr(curves, "legendre", spy("legendre", curves.legendre))
+        if hasattr(counting, "legendre"):
+            monkeypatch.setattr(counting, "legendre", spy("legendre", counting.legendre))
+        for rc in rcs:
+            count_bsgs(rc)
+        assert calls == []
 
 
 class TestDispatcher:

@@ -15,7 +15,6 @@ from ellnum.curves import (
     point_add,
     point_neg,
     scalar_mul,
-    sqrt_mod,
 )
 from ellnum.errors import CurveSpecError, SingularCurveError
 
@@ -232,13 +231,3 @@ class TestLegendre:
         with pytest.raises(ValueError):
             legendre(3, 15)
 
-
-class TestSqrtMod:
-    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 101, 10007])
-    def test_roots_square_back(self, p):
-        for a in range(min(p, 60)):
-            r = sqrt_mod(a, p)
-            if legendre(a, p) == -1:
-                assert r is None
-            else:
-                assert r is not None and r * r % p == a % p
